@@ -17,9 +17,10 @@
 # crash-publish failpoint matrix, and an in-process daemon reload poke —
 # under both sanitizers (docs/ARCHITECTURE.md "Incremental ingest").
 # search_index_test runs the packed/pruned TopK differential battery —
-# blocked-GEMM sweep vs brute-force reference at threads 1/2/8 on monolithic
+# the ring sweep vs brute-force reference at threads 1/2/8 on monolithic
 # and sharded indexes — so TSan covers the lazy side-index rebuild and the
-# shard-local heap merge (docs/PERFORMANCE.md "Sub-linear TopK").
+# per-ring merge of shard-local collectors (docs/PERFORMANCE.md "Sub-linear
+# TopK").
 # CI-friendly: exits non-zero on build failure, test failure, or any
 # sanitizer report.
 #

@@ -33,10 +33,10 @@ util::Histogram h_topk_size("search.topk_size");
 // gates (scripts/check_serve.sh) filter "*batch*" histograms wholesale.
 util::Histogram h_topk_batch_queries("search.topk_batch_queries");
 util::Histogram h_topk_batch_nanos("search.topk_batch_nanos");
-// Prune accounting, bumped once per sweep with shard-order totals (never in
+// Prune accounting, bumped once per sweep from range arithmetic (never in
 // the scoring inner loop), so metrics cost does not scale with index size.
-// Prune decisions depend only on callee counts and deterministic seed
-// scores, so both totals are thread-count invariant.
+// Which rings a query scores depends only on callee counts and its own
+// deterministic scores, so both totals are thread-count invariant.
 util::Counter c_scored_pairs("search.scored_pairs");
 util::Counter c_pruned_pairs("search.pruned_pairs");
 
@@ -82,10 +82,6 @@ const std::array<double, kExpTableSize>& NegExpTable() {
   return table;
 }
 
-std::int64_t CalleeDistance(int a, int b) {
-  return std::abs(static_cast<std::int64_t>(a) - static_cast<std::int64_t>(b));
-}
-
 // S(C1, C2) by table lookup — the same value CalleeSimilarity returns.
 double CalleeSimFromDistance(std::int64_t d) {
   if (d < kExpTableSize) return NegExpTable()[static_cast<std::size_t>(d)];
@@ -106,30 +102,26 @@ double PruneBound(std::int64_t d) {
   return NegExpTable()[static_cast<std::size_t>(clamped)] * kPruneSlack;
 }
 
-// Sentinel: no distance can be excluded — score every entry.
-constexpr std::int64_t kNoDistanceCut = std::numeric_limits<std::int64_t>::max();
+// Distance of a side with no entries left to score.
+constexpr std::int64_t kNoRing = std::numeric_limits<std::int64_t>::max();
 
-// Largest |ΔC| whose calibration bound can still reach `floor`. Returns
-// kNoDistanceCut when nothing is excludable (floor <= 0 or NaN, or even the
-// underflowed tail of the table clears it) and -1 when even distance 0
-// cannot reach the floor (every entry is excluded).
-std::int64_t MaxAllowedDistance(double floor) {
-  if (!(floor > 0.0)) return kNoDistanceCut;
-  if (PruneBound(kExpTableSize - 1) >= floor) return kNoDistanceCut;
-  if (PruneBound(0) < floor) return -1;
-  // The bound is monotone non-increasing in d: binary search the last
-  // allowed distance. Invariant: bound(lo) >= floor > bound(hi).
-  std::int64_t lo = 0, hi = kExpTableSize - 1;
-  while (hi - lo > 1) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (PruneBound(mid) >= floor) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
+// One side of one query's ring: the side-order positions [begin, end), all
+// at callee distance `distance` from the query.
+struct RingSide {
+  std::int64_t begin = 0, end = 0;
+  std::size_t query = 0;
+  std::int64_t distance = 0;
+};
+
+// A side range that `count` ring sides of one round share (sides[first,
+// first + count) once sorted). Its pairs are enumerated entry-major, so a
+// column is loaded once for every query whose ring covers it. `offset` is
+// the tile's first pair in the round's pair list.
+struct RingTile {
+  std::int64_t begin = 0, end = 0;
+  std::size_t first = 0, count = 0;
+  std::int64_t offset = 0;
+};
 
 // Gathers (query, entry column) pairs and scores a full block with one
 // SimilarityFromEncodingsBatch call (one feature matrix + one blocked GEMM
@@ -150,15 +142,15 @@ class BlockScorer {
 
   bool Full() const { return static_cast<int>(a_.size()) >= kPairsPerBlock; }
 
-  void Push(const double* query, const double* entry, int query_slot,
+  void Push(const double* query, const double* entry, int tag,
             int entry_index) {
     a_.push_back(query);
     b_.push_back(entry);
-    tags_.push_back({query_slot, entry_index});
+    tags_.push_back({tag, entry_index});
   }
 
-  // Scores pending pairs and invokes sink(query_slot, entry_index, m) for
-  // each, in push order.
+  // Scores pending pairs and invokes sink(tag, entry_index, m) for each, in
+  // push order.
   template <typename Sink>
   void Flush(Sink&& sink) {
     const int count = static_cast<int>(a_.size());
@@ -182,18 +174,6 @@ class BlockScorer {
   std::vector<double> m_;
   EncodingScoreScratch scratch_;
 };
-
-// Prune activation cut-offs. Below kMinPruneIndex entries the brute sweep
-// is already microseconds; above kMaxPruneK kept hits the serial seed pass
-// would cost more than it saves. Both depend only on (N, k), never on the
-// thread count, so the pruned set stays deterministic.
-constexpr std::int64_t kMinPruneIndex = 2048;
-constexpr std::size_t kMaxPruneK = 512;
-
-// Stack capacity for the per-(shard,query) pair tallies (2 slots each).
-// Covers e.g. 4 shards x 8 queries without touching the allocator; bigger
-// sweeps fall back to one heap vector.
-constexpr std::size_t kStackTallySlots = 64;
 
 }  // namespace
 
@@ -223,16 +203,30 @@ static void PushHeapKeep(std::vector<Ref>* heap, std::size_t keep, Ref ref) {
   }
 }
 
-// Per-query sweep state: the encoded query plus the exact-prune cut derived
-// from its callee-nearest seed entries.
+// Per-query ring-sweep state: the encoded query, its collector, and the
+// side-order range [lo, hi) covered by the rings scored so far.
 struct SearchIndex::QueryPlan {
   const double* encoding = nullptr;
-  int callees = 0;
-  std::size_t keep = 0;      // TopK: heap size; 0 disables scoring entirely
-  std::int64_t max_dist = kNoDistanceCut;  // skip entries with |ΔC| beyond
-  std::int64_t seed_lo = 0, seed_hi = 0;   // side positions already scored
-  std::vector<ScoredRef> seed_heap;        // their top-keep refs
+  std::int64_t callees = 0;
+  std::size_t keep = 0;          // TopK heap size (0: k <= 0, score nothing)
+  double threshold = 0.0;        // AboveThreshold's fixed floor
+  bool live = false;             // further rings may still be scored
+  std::int64_t lo = 0, hi = 0;   // side positions already scored
+  std::vector<ScoredRef> refs;   // TopK: worst-on-top heap; else: hits
 };
+
+// The sweep's pluggable collector: TopK keeps the best `keep` refs in a
+// worst-on-top heap, AboveThreshold keeps every ref at or above its
+// threshold (a NaN threshold keeps everything, as the reference does).
+template <typename Plan, typename Ref>
+static void Collect(bool top_k, const Plan& plan, std::vector<Ref>* out,
+                    Ref ref) {
+  if (top_k) {
+    PushHeapKeep(out, plan.keep, ref);
+  } else if (!(ref.score < plan.threshold)) {
+    out->push_back(ref);
+  }
+}
 
 double* SearchIndex::PackedColumns::AppendColumn() {
   const std::int64_t block = count_ / kBlockCols;
@@ -370,323 +364,199 @@ void SearchIndex::EnsureSideIndexFresh() const {
     if (ca != cb) return ca < cb;
     return a < b;
   });
-  side_pos_.resize(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    side_pos_[static_cast<std::size_t>(side_order_[static_cast<std::size_t>(p)])] = p;
-  }
   side_dirty_.store(false, std::memory_order_release);
 }
 
-std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
+std::vector<std::vector<SearchHit>> SearchIndex::RingSweep(
     const std::vector<nn::Matrix>& encodings, const std::vector<int>& callees,
     const std::vector<std::size_t>& keeps,
-    std::vector<QuerySearchStats>* stats) const {
-  const std::size_t batch = encodings.size();
-  const std::int64_t n = static_cast<std::int64_t>(entries_.size());
-  std::vector<std::vector<SearchHit>> results(batch);
-  if (batch == 0 || n == 0) return results;
-  const std::int64_t sweep_start_nanos = util::TraceNowNanos();
-
-  // Phase 1 — per-query plans. When the prune is worth arming (large index,
-  // small k), pick the `keep` entries nearest the query's callee count in
-  // the side order, score them serially into a full heap, and derive the
-  // static distance cut from its worst score: any entry farther than
-  // max_dist has bound < that score and provably cannot displace a kept
-  // hit. Everything here is a pure function of (callee counts, k, scores),
-  // so plans — and therefore the skipped set — are thread-count invariant.
-  bool any_prune = false;
-  for (std::size_t q = 0; q < batch; ++q) {
-    if (keeps[q] > 0 && keeps[q] <= kMaxPruneK && n >= kMinPruneIndex) {
-      any_prune = true;
-      break;
-    }
-  }
-  if (any_prune) EnsureSideIndexFresh();
-  std::vector<QueryPlan> plans(batch);
-  std::vector<std::uint64_t> seed_scored(batch, 0);
-  util::ParallelFor(
-      static_cast<std::int64_t>(batch), threads_, [&](std::int64_t qi) {
-        const std::size_t q = static_cast<std::size_t>(qi);
-        QueryPlan& plan = plans[q];
-        plan.encoding = encodings[q].data();
-        plan.callees = callees[q];
-        plan.keep = keeps[q];
-        if (plan.keep == 0 || plan.keep > kMaxPruneK || n < kMinPruneIndex) {
-          return;  // no prune: the sweep scores every entry for this query
-        }
-        // Seed range: exactly `keep` side positions nearest the query's
-        // callee count, expanded one position at a time toward whichever
-        // neighbor is closer (ties toward larger counts — any fixed rule
-        // works, it only has to be deterministic).
-        std::int64_t lo =
-            std::lower_bound(side_order_.begin(), side_order_.end(),
-                             plan.callees,
-                             [&](int idx, int c) {
-                               return entries_[static_cast<std::size_t>(idx)]
-                                          .callee_count < c;
-                             }) -
-            side_order_.begin();
-        std::int64_t hi = lo;
-        while (hi - lo < static_cast<std::int64_t>(plan.keep)) {
-          bool take_right;
-          if (lo == 0) {
-            take_right = true;
-          } else if (hi == n) {
-            take_right = false;
-          } else {
-            const std::int64_t dr = CalleeDistance(
-                entries_[static_cast<std::size_t>(
-                             side_order_[static_cast<std::size_t>(hi)])]
-                    .callee_count,
-                plan.callees);
-            const std::int64_t dl = CalleeDistance(
-                entries_[static_cast<std::size_t>(
-                             side_order_[static_cast<std::size_t>(lo - 1)])]
-                    .callee_count,
-                plan.callees);
-            take_right = dr <= dl;
-          }
-          if (take_right) {
-            ++hi;
-          } else {
-            --lo;
-          }
-        }
-        plan.seed_lo = lo;
-        plan.seed_hi = hi;
-        plan.seed_heap.reserve(plan.keep + 1);
-        BlockScorer scorer(model_);
-        auto sink = [&](int, int entry, double m) {
-          const std::int64_t d = CalleeDistance(
-              entries_[static_cast<std::size_t>(entry)].callee_count,
-              plan.callees);
-          PushHeapKeep(&plan.seed_heap, plan.keep,
-                       {m * CalleeSimFromDistance(d), entry});
-        };
-        for (std::int64_t pos = lo; pos < hi; ++pos) {
-          const int entry = side_order_[static_cast<std::size_t>(pos)];
-          scorer.Push(plan.encoding, packed_.Column(entry), 0, entry);
-          if (scorer.Full()) scorer.Flush(sink);
-        }
-        scorer.Flush(sink);
-        seed_scored[q] = static_cast<std::uint64_t>(hi - lo);
-        // The heap is full (keep <= N seeds), so its worst score is a lower
-        // bound on the final k-th score: only entries whose calibration
-        // bound reaches it can still matter.
-        plan.max_dist = MaxAllowedDistance(plan.seed_heap.front().score);
-      });
-
-  // Phase 2 — one blocked sweep over the packed matrix in insertion order.
-  // Every (entry block x query batch) tile is gathered and scored through
-  // one GEMM flush; seeds are skipped by side position, pruned pairs by the
-  // distance cut.
-  const int max_shards = threads_;
-  const std::size_t shard_slots =
-      static_cast<std::size_t>(std::max(1, max_shards));
-  std::vector<std::vector<std::vector<ScoredRef>>> shard_top(
-      shard_slots, std::vector<std::vector<ScoredRef>>(batch));
-  // Pair tallies per (shard, query), flattened (rows of 2*batch per shard:
-  // scored then pruned): summed across queries they reproduce the old
-  // per-shard totals (same counter deltas); summed across shards they give
-  // each query's exact scored/pruned counts for `stats`. Flat — and on the
-  // stack for the common small case — because this runs per dispatch: a
-  // nested vector-of-vectors costs 2*(shards+1) mallocs on the warm
-  // singleton-query path.
-  const std::size_t tally_count = shard_slots * batch * 2;
-  std::uint64_t stack_tallies[kStackTallySlots] = {};
-  std::vector<std::uint64_t> heap_tallies;
-  std::uint64_t* shard_tallies = stack_tallies;
-  if (tally_count > kStackTallySlots) {
-    heap_tallies.assign(tally_count, 0);
-    shard_tallies = heap_tallies.data();
-  }
-  util::ParallelForShards(
-      n, max_shards, [&](std::int64_t begin, std::int64_t end, int shard) {
-        std::vector<std::vector<ScoredRef>>& locals =
-            shard_top[static_cast<std::size_t>(shard)];
-        for (std::size_t q = 0; q < batch; ++q) {
-          locals[q].reserve(plans[q].keep + 1);
-        }
-        std::uint64_t* const scored =
-            shard_tallies + static_cast<std::size_t>(shard) * batch * 2;
-        std::uint64_t* const pruned = scored + batch;
-        BlockScorer scorer(model_);
-        auto sink = [&](int q, int entry, double m) {
-          const std::size_t slot = static_cast<std::size_t>(q);
-          const std::int64_t d = CalleeDistance(
-              entries_[static_cast<std::size_t>(entry)].callee_count,
-              plans[slot].callees);
-          PushHeapKeep(&locals[slot], plans[slot].keep,
-                       {m * CalleeSimFromDistance(d), entry});
-        };
-        for (std::int64_t i = begin; i < end; ++i) {
-          const int ce = entries_[static_cast<std::size_t>(i)].callee_count;
-          const double* column = packed_.Column(i);
-          for (std::size_t q = 0; q < batch; ++q) {
-            const QueryPlan& plan = plans[q];
-            if (plan.keep == 0) continue;
-            if (plan.seed_hi > plan.seed_lo) {
-              const int pos = side_pos_[static_cast<std::size_t>(i)];
-              if (pos >= plan.seed_lo && pos < plan.seed_hi) {
-                continue;  // already scored as a seed
-              }
-            }
-            if (plan.max_dist != kNoDistanceCut &&
-                CalleeDistance(ce, plan.callees) > plan.max_dist) {
-              ++pruned[q];
-              continue;
-            }
-            scorer.Push(plan.encoding, column, static_cast<int>(q),
-                        static_cast<int>(i));
-            ++scored[q];
-            if (scorer.Full()) scorer.Flush(sink);
-          }
-        }
-        scorer.Flush(sink);
-      });
-
-  // Merge: seeds plus every shard's heap, cut under the strict total order.
-  // The ranking is a pure function of the scores, so the result is bitwise
-  // identical to the brute-force sweep at any thread count.
-  std::uint64_t total_scored = 0, total_pruned = 0;
-  for (std::size_t q = 0; q < batch; ++q) {
-    std::uint64_t q_scored = seed_scored[q], q_pruned = 0;
-    for (std::size_t s = 0; s < shard_slots; ++s) {
-      q_scored += shard_tallies[s * batch * 2 + q];
-      q_pruned += shard_tallies[s * batch * 2 + batch + q];
-    }
-    total_scored += q_scored;
-    total_pruned += q_pruned;
-    if (stats != nullptr) {
-      (*stats)[q].scored_pairs = q_scored;
-      (*stats)[q].pruned_pairs = q_pruned;
-    }
-  }
-  c_scored_pairs.Add(total_scored);
-  c_pruned_pairs.Add(total_pruned);
-  for (std::size_t q = 0; q < batch; ++q) {
-    std::vector<ScoredRef> merged = std::move(plans[q].seed_heap);
-    merged.reserve(merged.size() + keeps[q] * shard_slots);
-    for (std::vector<std::vector<ScoredRef>>& locals : shard_top) {
-      merged.insert(merged.end(), locals[q].begin(), locals[q].end());
-    }
-    const auto cut = merged.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                          keeps[q], merged.size()));
-    std::partial_sort(merged.begin(), cut, merged.end(), RefBefore<ScoredRef>);
-    merged.erase(cut, merged.end());
-    std::vector<SearchHit>& hits = results[q];
-    hits.resize(merged.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      hits[i].index = merged[i].index;
-      hits[i].name = entries_[static_cast<std::size_t>(merged[i].index)].name;
-      hits[i].score = merged[i].score;
-    }
-  }
-  if (stats != nullptr) {
-    const std::uint64_t sweep_nanos = static_cast<std::uint64_t>(
-        util::TraceNowNanos() - sweep_start_nanos);
-    for (std::size_t q = 0; q < batch; ++q) {
-      (*stats)[q].score_nanos = sweep_nanos;
-    }
-  }
-  return results;
-}
-
-std::vector<std::vector<SearchHit>> SearchIndex::AboveThresholdOnEncodings(
-    const std::vector<nn::Matrix>& encodings, const std::vector<int>& callees,
     const std::vector<double>& thresholds,
     std::vector<QuerySearchStats>* stats) const {
+  const bool top_k = thresholds.empty();
   const std::size_t batch = encodings.size();
   const std::int64_t n = static_cast<std::int64_t>(entries_.size());
   std::vector<std::vector<SearchHit>> results(batch);
   if (batch == 0 || n == 0) return results;
   const std::int64_t sweep_start_nanos = util::TraceNowNanos();
-  // The threshold is a static floor, so no seed pass is needed: any entry
-  // whose calibration bound falls below it cannot score above it.
+  EnsureSideIndexFresh();
+  auto callees_at = [&](std::int64_t pos) -> std::int64_t {
+    return entries_[static_cast<std::size_t>(
+                        side_order_[static_cast<std::size_t>(pos)])]
+        .callee_count;
+  };
+  // First side position in [first, last) whose callee count is not below c.
+  auto side_lower_bound = [&](std::int64_t first, std::int64_t last,
+                              std::int64_t c) -> std::int64_t {
+    return std::partition_point(side_order_.begin() + first,
+                                side_order_.begin() + last,
+                                [&](int entry) {
+                                  return entries_[static_cast<std::size_t>(
+                                                      entry)]
+                                             .callee_count < c;
+                                }) -
+           side_order_.begin();
+  };
+
+  // Every query starts with an empty scored range at its own callee class.
   std::vector<QueryPlan> plans(batch);
   for (std::size_t q = 0; q < batch; ++q) {
-    plans[q].encoding = encodings[q].data();
-    plans[q].callees = callees[q];
-    plans[q].max_dist = MaxAllowedDistance(thresholds[q]);
+    QueryPlan& plan = plans[q];
+    plan.encoding = encodings[q].data();
+    plan.callees = callees[q];
+    if (top_k) {
+      plan.keep = keeps[q];
+      plan.refs.reserve(plan.keep + 1);
+    } else {
+      plan.threshold = thresholds[q];
+    }
+    plan.live = !top_k || plan.keep > 0;
+    plan.lo = plan.hi = side_lower_bound(0, n, plan.callees);
   }
-  const int max_shards = threads_;
-  const std::size_t shard_slots =
-      static_cast<std::size_t>(std::max(1, max_shards));
-  std::vector<std::vector<std::vector<ScoredRef>>> shard_hits(
-      shard_slots, std::vector<std::vector<ScoredRef>>(batch));
-  // Same flat tally layout as TopKOnEncodings: scored row then pruned row,
-  // 2*batch slots per shard, stack-backed for the common small case.
-  const std::size_t tally_count = shard_slots * batch * 2;
-  std::uint64_t stack_tallies[kStackTallySlots] = {};
-  std::vector<std::uint64_t> heap_tallies;
-  std::uint64_t* shard_tallies = stack_tallies;
-  if (tally_count > kStackTallySlots) {
-    heap_tallies.assign(tally_count, 0);
-    shard_tallies = heap_tallies.data();
-  }
-  util::ParallelForShards(
-      n, max_shards, [&](std::int64_t begin, std::int64_t end, int shard) {
-        std::vector<std::vector<ScoredRef>>& locals =
-            shard_hits[static_cast<std::size_t>(shard)];
-        std::uint64_t* const scored =
-            shard_tallies + static_cast<std::size_t>(shard) * batch * 2;
-        std::uint64_t* const pruned = scored + batch;
-        BlockScorer scorer(model_);
-        auto sink = [&](int q, int entry, double m) {
-          const std::size_t slot = static_cast<std::size_t>(q);
-          const std::int64_t d = CalleeDistance(
-              entries_[static_cast<std::size_t>(entry)].callee_count,
-              plans[slot].callees);
-          const double score = m * CalleeSimFromDistance(d);
-          if (!(score < thresholds[slot])) {
-            locals[slot].push_back({score, entry});
-          }
-        };
-        for (std::int64_t i = begin; i < end; ++i) {
-          const int ce = entries_[static_cast<std::size_t>(i)].callee_count;
-          const double* column = packed_.Column(i);
-          for (std::size_t q = 0; q < batch; ++q) {
-            if (plans[q].max_dist != kNoDistanceCut &&
-                CalleeDistance(ce, plans[q].callees) > plans[q].max_dist) {
-              ++pruned[q];
-              continue;
+
+  // Ring rounds. Each round takes every live query's next ring — the
+  // entries at the nearest callee distance d not yet scored, one contiguous
+  // side range per side — unless the query's floor already beats the ring's
+  // calibration bound: every entry at distance >= d scores at most
+  // PruneBound(d) < floor, so it can neither displace a kept hit (the floor
+  // is the heap's worst, which never exceeds the final k-th score) nor clear
+  // the threshold. The rings are then scored together in one blocked-GEMM
+  // pass, merged, and the floors updated. The floor only moves after whole
+  // rings, so which rings get scored depends on the scores and callee counts
+  // alone — never on sharding — and the results equal the brute force's.
+  const int max_shards = std::max(1, threads_);
+  std::vector<std::vector<std::vector<ScoredRef>>> shard_refs(
+      static_cast<std::size_t>(max_shards),
+      std::vector<std::vector<ScoredRef>>(batch));
+  std::vector<RingSide> sides;
+  std::vector<RingTile> tiles;
+  for (;;) {
+    sides.clear();
+    for (std::size_t q = 0; q < batch; ++q) {
+      QueryPlan& plan = plans[q];
+      if (!plan.live) continue;
+      const std::int64_t left =
+          plan.lo > 0 ? plan.callees - callees_at(plan.lo - 1) : kNoRing;
+      const std::int64_t right =
+          plan.hi < n ? callees_at(plan.hi) - plan.callees : kNoRing;
+      const std::int64_t d = std::min(left, right);
+      const bool armed = !top_k || plan.refs.size() >= plan.keep;
+      const double floor = top_k ? (armed ? plan.refs.front().score : 0.0)
+                                 : plan.threshold;
+      if (d == kNoRing || (armed && PruneBound(d) < floor)) {
+        plan.live = false;
+        continue;
+      }
+      if (left == d) {
+        const std::int64_t lo =
+            side_lower_bound(0, plan.lo, plan.callees - d);
+        sides.push_back({lo, plan.lo, q, d});
+        plan.lo = lo;
+      }
+      if (right == d) {
+        const std::int64_t hi =
+            side_lower_bound(plan.hi, n, plan.callees + d + 1);
+        sides.push_back({plan.hi, hi, q, d});
+        plan.hi = hi;
+      }
+    }
+    if (sides.empty()) break;
+    // Queries of one callee class share their rings: tile equal ranges.
+    std::sort(sides.begin(), sides.end(),
+              [](const RingSide& a, const RingSide& b) {
+                if (a.begin != b.begin) return a.begin < b.begin;
+                if (a.end != b.end) return a.end < b.end;
+                return a.query < b.query;
+              });
+    tiles.clear();
+    std::int64_t pairs = 0;
+    for (std::size_t i = 0, j = 0; i < sides.size(); i = j) {
+      while (j < sides.size() && sides[j].begin == sides[i].begin &&
+             sides[j].end == sides[i].end) {
+        ++j;
+      }
+      tiles.push_back({sides[i].begin, sides[i].end, i, j - i, pairs});
+      pairs += (sides[i].end - sides[i].begin) *
+               static_cast<std::int64_t>(j - i);
+    }
+
+    // Small rounds run inline: a shard gets at least one full GEMM block.
+    const int shards = static_cast<int>(std::min<std::int64_t>(
+        max_shards, (pairs + BlockScorer::kPairsPerBlock - 1) /
+                        BlockScorer::kPairsPerBlock));
+    util::ParallelForShards(
+        pairs, shards, [&](std::int64_t begin, std::int64_t end, int shard) {
+          std::vector<std::vector<ScoredRef>>& locals =
+              shard_refs[static_cast<std::size_t>(shard)];
+          BlockScorer scorer(model_);
+          auto sink = [&](int side_slot, int entry, double m) {
+            const RingSide& side = sides[static_cast<std::size_t>(side_slot)];
+            Collect(top_k, plans[side.query], &locals[side.query],
+                    ScoredRef{m * CalleeSimFromDistance(side.distance),
+                              entry});
+          };
+          std::size_t t = static_cast<std::size_t>(
+              std::upper_bound(tiles.begin(), tiles.end(), begin,
+                               [](std::int64_t pair, const RingTile& tile) {
+                                 return pair < tile.offset;
+                               }) -
+              tiles.begin() - 1);
+          for (std::int64_t p = begin; p < end; ++t) {
+            const RingTile& tile = tiles[t];
+            const std::int64_t width = static_cast<std::int64_t>(tile.count);
+            const std::int64_t stop =
+                std::min(end, tile.offset + (tile.end - tile.begin) * width);
+            for (; p < stop; ++p) {
+              const std::int64_t local = p - tile.offset;
+              const std::size_t slot =
+                  tile.first + static_cast<std::size_t>(local % width);
+              const int entry = side_order_[static_cast<std::size_t>(
+                  tile.begin + local / width)];
+              scorer.Push(plans[sides[slot].query].encoding,
+                          packed_.Column(entry), static_cast<int>(slot),
+                          entry);
+              if (scorer.Full()) scorer.Flush(sink);
             }
-            scorer.Push(plans[q].encoding, column, static_cast<int>(q),
-                        static_cast<int>(i));
-            ++scored[q];
-            if (scorer.Full()) scorer.Flush(sink);
           }
+          scorer.Flush(sink);
+        });
+    // Merge in shard order; the collectors' contents are a pure function of
+    // the refs they are fed, so the order cannot change any floor.
+    for (std::vector<std::vector<ScoredRef>>& locals : shard_refs) {
+      for (std::size_t q = 0; q < batch; ++q) {
+        for (const ScoredRef& ref : locals[q]) {
+          Collect(top_k, plans[q], &plans[q].refs, ref);
         }
-        scorer.Flush(sink);
-      });
+        locals[q].clear();
+      }
+    }
+  }
+
+  // Pair accounting by range arithmetic: a query scored exactly its covered
+  // side range and pruned the rest, so the counts are thread-count invariant.
   std::uint64_t total_scored = 0, total_pruned = 0;
   for (std::size_t q = 0; q < batch; ++q) {
-    std::uint64_t q_scored = 0, q_pruned = 0;
-    for (std::size_t s = 0; s < shard_slots; ++s) {
-      q_scored += shard_tallies[s * batch * 2 + q];
-      q_pruned += shard_tallies[s * batch * 2 + batch + q];
-    }
-    total_scored += q_scored;
-    total_pruned += q_pruned;
+    const QueryPlan& plan = plans[q];
+    const std::uint64_t scored = static_cast<std::uint64_t>(plan.hi - plan.lo);
+    const std::uint64_t pruned =
+        top_k && plan.keep == 0 ? 0 : static_cast<std::uint64_t>(n) - scored;
+    total_scored += scored;
+    total_pruned += pruned;
     if (stats != nullptr) {
-      (*stats)[q].scored_pairs = q_scored;
-      (*stats)[q].pruned_pairs = q_pruned;
+      (*stats)[q].scored_pairs = scored;
+      (*stats)[q].pruned_pairs = pruned;
     }
   }
   c_scored_pairs.Add(total_scored);
   c_pruned_pairs.Add(total_pruned);
   for (std::size_t q = 0; q < batch; ++q) {
-    std::vector<ScoredRef> merged;
-    for (std::vector<std::vector<ScoredRef>>& locals : shard_hits) {
-      merged.insert(merged.end(), locals[q].begin(), locals[q].end());
-    }
-    std::sort(merged.begin(), merged.end(), RefBefore<ScoredRef>);
+    std::vector<ScoredRef>& refs = plans[q].refs;
+    std::sort(refs.begin(), refs.end(), RefBefore<ScoredRef>);
     std::vector<SearchHit>& hits = results[q];
-    hits.resize(merged.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      hits[i].index = merged[i].index;
-      hits[i].name = entries_[static_cast<std::size_t>(merged[i].index)].name;
-      hits[i].score = merged[i].score;
+    hits.resize(refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      hits[i].index = refs[i].index;
+      hits[i].name = entries_[static_cast<std::size_t>(refs[i].index)].name;
+      hits[i].score = refs[i].score;
     }
   }
   if (stats != nullptr) {
@@ -710,7 +580,7 @@ std::vector<SearchHit> SearchIndex::TopK(const FunctionFeature& query,
   const std::vector<std::size_t> keeps{
       std::min<std::size_t>(static_cast<std::size_t>(k), entries_.size())};
   std::vector<SearchHit> hits =
-      std::move(TopKOnEncodings(encodings, callees, keeps)[0]);
+      std::move(RingSweep(encodings, callees, keeps, {})[0]);
   h_topk_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
   h_topk_size.Observe(hits.size());
   return hits;
@@ -754,7 +624,7 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKBatch(
                                 static_cast<std::size_t>(ks[q]),
                                 entries_.size());
   }
-  results = TopKOnEncodings(encodings, callees, keeps, stats);
+  results = RingSweep(encodings, callees, keeps, {}, stats);
   for (std::size_t q = 0; q < batch; ++q) {
     h_topk_size.Observe(results[q].size());
   }
@@ -770,8 +640,7 @@ std::vector<SearchHit> SearchIndex::AboveThreshold(
   encodings[0] = model_.Encode(query.tree);
   const std::vector<int> callees{query.callee_count};
   const std::vector<double> thresholds{threshold};
-  return std::move(
-      AboveThresholdOnEncodings(encodings, callees, thresholds)[0]);
+  return std::move(RingSweep(encodings, callees, {}, thresholds)[0]);
 }
 
 std::vector<std::vector<SearchHit>> SearchIndex::AboveThresholdBatch(
@@ -803,7 +672,7 @@ std::vector<std::vector<SearchHit>> SearchIndex::AboveThresholdBatch(
   for (std::size_t q = 0; q < batch; ++q) {
     callees[q] = queries[q]->callee_count;
   }
-  return AboveThresholdOnEncodings(encodings, callees, thresholds, stats);
+  return RingSweep(encodings, callees, {}, thresholds, stats);
 }
 
 // -- Brute-force reference paths (pre-packing implementation) --------------

@@ -14,24 +14,27 @@
 // (SiameseModel::SimilarityFromEncodingsBatch), with SearchHit names
 // materialized only for the hits that survive — never per scored pair.
 //
-// On top of the sweep sits an *exact* prefilter: M(T1,T2) <= 1, so the
-// calibrated score F = M * S is bounded by S(C1,C2) = e^{-|C1-C2|}. A
-// callee-count-sorted side index seeds each query's top-k heap with the
-// nearest-callee entries, and every entry whose calibration bound falls
-// strictly below that k-th seed score is skipped — a legal prune that only
-// drops provably-losing entries (proof sketch in docs/PERFORMANCE.md).
-// TopK/TopKBatch/AboveThreshold therefore return results bitwise identical
-// to the brute-force sweep (TopKReference/AboveThresholdReference, kept
-// in-tree as the differential oracle and bench baseline).
+// The sweep is an *exact* ring sweep: M(T1,T2) <= 1, so the calibrated
+// score F = M * S is bounded by S(C1,C2) = e^{-|C1-C2|}. Each query walks a
+// callee-count-sorted side index outward from its own callee class, one
+// callee distance (ring) at a time, and stops before the first ring whose
+// calibration bound falls strictly below its floor: the worst score of its
+// full top-k heap after the last complete ring, or AboveThreshold's
+// threshold. Only provably-losing entries are left unscored (proof sketch in
+// docs/PERFORMANCE.md), so TopK/TopKBatch/AboveThreshold return results
+// bitwise identical to the brute-force sweep (TopKReference/
+// AboveThresholdReference, kept in-tree as the differential oracle and
+// bench baseline).
 //
 // Both phases parallelize over util::ThreadPool with its static-partition
 // determinism contract: AddAll encodes shards of the input concurrently but
 // stores entries in input order, and the query paths score shards with
 // local top-k heaps merged shard-by-shard under a strict total order
 // (score desc, insertion index asc), so encodings, scores, and result
-// ordering are bitwise identical for every thread count. Prune decisions
-// depend only on callee counts and the deterministic seed scores — never on
-// sharding — so the skipped set is thread-count invariant too.
+// ordering are bitwise identical for every thread count. Which rings a
+// query scores depends only on callee counts and its own deterministic
+// scores — never on sharding — so the skipped set is thread-count invariant
+// too.
 #pragma once
 
 #include <atomic>
@@ -88,7 +91,9 @@ class SearchIndex {
   // Per-query accounting for one batched search, filled (when requested)
   // alongside the results so asteria-serve can cut one wide-event request
   // record per query (util/request_log.h). The pair counts are exact and
-  // thread-count invariant — summed over the batch they equal the
+  // thread-count invariant — scored + pruned is the index size for every
+  // AboveThreshold query and every TopK query with k > 0 (both are 0 for
+  // k <= 0), and summed over the batch they equal the
   // search.scored_pairs / search.pruned_pairs counter deltas. The timings
   // are wall clock: encode_nanos is this query's own AST encode;
   // score_nanos is the batch's *shared* sweep (every query in a batch
@@ -101,9 +106,9 @@ class SearchIndex {
   };
 
   // Batched TopK — the asteria-serve dispatch path: encodes every query,
-  // then scores the whole batch in one blocked-GEMM sweep over the packed
-  // entry matrix (each entry block is touched once per sweep instead of
-  // once per query), keeping a per-query top-k heap. ks[i] is query i's k.
+  // then scores the whole batch in shared ring rounds (each round gathers
+  // every live query's next ring into one blocked-GEMM pass over the packed
+  // entry matrix), keeping a per-query top-k heap. ks[i] is query i's k.
   // Results are bitwise identical to calling TopK(queries[i], ks[i]) one at
   // a time: the strict (score desc, index asc) total order makes the
   // ranking a pure function of the scores, independent of batching and
@@ -115,8 +120,8 @@ class SearchIndex {
       std::vector<QuerySearchStats>* stats = nullptr) const;
 
   // All hits scoring at least `threshold`, descending. Routed through the
-  // same pruned/blocked sweep as TopK — entries whose calibration bound
-  // already falls below `threshold` are skipped, and only surviving hits
+  // same ring sweep as TopK with `threshold` as a fixed floor — rings whose
+  // calibration bound already falls below it are skipped, and only hits
   // are ever materialized (no O(N) scored-vector allocation).
   std::vector<SearchHit> AboveThreshold(const FunctionFeature& query,
                                         double threshold) const;
@@ -234,8 +239,8 @@ class SearchIndex {
     int index = 0;
   };
 
-  // Per-query sweep state: the encoded query plus the exact-prune cut
-  // derived from its callee-nearest seed entries.
+  // Per-query ring-sweep state: the encoded query, its collector, and the
+  // side-order range its scored rings cover.
   struct QueryPlan;
 
   // Entries staged by a snapshot load before committing to the index.
@@ -256,17 +261,14 @@ class SearchIndex {
       const FunctionFeature& query,
       const std::vector<nn::Matrix>& entry_encodings) const;
 
-  // Shared pruned/blocked sweep cores (encodings already computed). `stats`
-  // (nullable) receives per-query pair counts and the shared sweep time;
-  // the caller must have sized it to the batch.
-  std::vector<std::vector<SearchHit>> TopKOnEncodings(
+  // The ring sweep both query kinds share (encodings already computed).
+  // An empty `thresholds` selects TopK with heap sizes `keeps`; otherwise
+  // each query collects every hit at or above its threshold and `keeps` is
+  // ignored. `stats` (nullable) receives per-query pair counts and the
+  // shared sweep time; the caller must have sized it to the batch.
+  std::vector<std::vector<SearchHit>> RingSweep(
       const std::vector<nn::Matrix>& encodings,
-      const std::vector<int>& callees,
-      const std::vector<std::size_t>& keeps,
-      std::vector<QuerySearchStats>* stats = nullptr) const;
-  std::vector<std::vector<SearchHit>> AboveThresholdOnEncodings(
-      const std::vector<nn::Matrix>& encodings,
-      const std::vector<int>& callees,
+      const std::vector<int>& callees, const std::vector<std::size_t>& keeps,
       const std::vector<double>& thresholds,
       std::vector<QuerySearchStats>* stats = nullptr) const;
 
@@ -290,11 +292,12 @@ class SearchIndex {
 
   // Callee-count-sorted side index, rebuilt lazily on the first query after
   // a mutation: side_order_ holds entry indices sorted by (callee_count,
-  // insertion index); side_pos_ is its inverse permutation.
+  // insertion index), so every callee class — and so every ring side — is
+  // one contiguous range. The sweep reads packed columns through it; the
+  // packed storage itself stays in insertion order.
   mutable std::mutex side_mutex_;
   mutable std::atomic<bool> side_dirty_{true};
   mutable std::vector<int> side_order_;
-  mutable std::vector<int> side_pos_;
 };
 
 }  // namespace asteria::core

@@ -7,17 +7,23 @@
 // (TopKReference/AboveThresholdReference), at every thread count, on
 // monolithic and sharded indexes, for both siamese heads, and on
 // adversarial callee-count distributions where the prune is either useless
-// (all counts equal) or maximally aggressive (extreme spread).
+// (all counts equal) or maximally aggressive (extreme spread), and at the
+// ring sweep's boundaries (empty or short rings, distances past the exp
+// table, ties at the last scored ring). Every batched call also checks the
+// pair-count contract against the search.* counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/asteria.h"
 #include "core/search_index.h"
 #include "store/manifest.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace asteria::core {
@@ -64,8 +70,8 @@ AsteriaConfig SmallConfig(SiameseHead head = SiameseHead::kClassification) {
 
 // Fills the index with `n` synthetic (but finite, well-spread) encodings
 // via AddEncoded — no per-entry model evaluation, so tests can afford
-// corpora large enough to arm the prefilter (>= 2048 entries). `callee_of`
-// maps the entry number to its callee count.
+// corpora of thousands of entries. `callee_of` maps the entry number to its
+// callee count.
 template <typename CalleeFn>
 void FillSynthetic(SearchIndex* index, const AsteriaModel& model, int n,
                    CalleeFn&& callee_of) {
@@ -95,38 +101,168 @@ void ExpectSameHits(const std::vector<SearchHit>& got,
   }
 }
 
+std::uint64_t CounterValueOf(const char* name) {
+  for (const util::CounterValue& counter : util::SnapshotMetrics().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
+// Per-query (scored, pruned) pair counts of one batched call.
+using PairCounts = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+// Runs one batched search with stats and checks the pair-count contract:
+// scored + pruned is the index size for every query with ks[i] > 0 (both
+// are 0 otherwise), and the per-query counts sum to the
+// search.scored_pairs / search.pruned_pairs deltas the call produced.
+template <typename BatchFn>
+PairCounts CheckedPairCounts(const SearchIndex& index,
+                             const std::vector<int>& ks, BatchFn&& run,
+                             const std::string& label) {
+  const std::uint64_t scored_before = CounterValueOf("search.scored_pairs");
+  const std::uint64_t pruned_before = CounterValueOf("search.pruned_pairs");
+  std::vector<SearchIndex::QuerySearchStats> stats;
+  run(&stats);
+  EXPECT_EQ(stats.size(), ks.size()) << label;
+  PairCounts counts;
+  std::uint64_t scored_sum = 0, pruned_sum = 0;
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    const std::uint64_t scored = stats[i].scored_pairs;
+    const std::uint64_t pruned = stats[i].pruned_pairs;
+    const std::uint64_t want =
+        ks[i] > 0 ? static_cast<std::uint64_t>(index.size()) : 0;
+    EXPECT_EQ(scored + pruned, want) << label << " query=" << i;
+    counts.emplace_back(scored, pruned);
+    scored_sum += scored;
+    pruned_sum += pruned;
+  }
+  EXPECT_EQ(CounterValueOf("search.scored_pairs") - scored_before, scored_sum)
+      << label;
+  EXPECT_EQ(CounterValueOf("search.pruned_pairs") - pruned_before, pruned_sum)
+      << label;
+  return counts;
+}
+
 // Runs the full differential battery for one index + query set: TopK and
 // AboveThreshold against their references, batch against single, at thread
-// counts 1, 2, and 8.
+// counts 1, 2, and 8. ks[i] is query i's k; every batched call also checks
+// the pair-count contract, with counts identical at every thread count.
 void RunDifferential(SearchIndex* index,
-                     const std::vector<FunctionFeature>& queries, int k,
-                     double threshold, const std::string& label) {
+                     const std::vector<FunctionFeature>& queries,
+                     const std::vector<int>& ks, double threshold,
+                     const std::string& label) {
   // References are computed once (they are thread-count invariant too, but
   // one fixed configuration keeps the oracle simple).
   index->set_threads(1);
   std::vector<std::vector<SearchHit>> want_topk, want_above;
-  for (const FunctionFeature& q : queries) {
-    want_topk.push_back(index->TopKReference(q, k));
-    want_above.push_back(index->AboveThresholdReference(q, threshold));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    want_topk.push_back(index->TopKReference(queries[i], ks[i]));
+    want_above.push_back(index->AboveThresholdReference(queries[i], threshold));
   }
+  std::vector<const FunctionFeature*> ptrs;
+  for (const FunctionFeature& q : queries) ptrs.push_back(&q);
+  const std::vector<double> thresholds(queries.size(), threshold);
+  const std::vector<int> every_query(queries.size(), 1);
+  PairCounts first_topk_counts, first_above_counts;
   for (int threads : {1, 2, 8}) {
     index->set_threads(threads);
     const std::string tag = label + " threads=" + std::to_string(threads);
-    std::vector<const FunctionFeature*> ptrs;
-    for (const FunctionFeature& q : queries) ptrs.push_back(&q);
-    const std::vector<int> ks(queries.size(), k);
-    const std::vector<double> thresholds(queries.size(), threshold);
-    const auto got_topk_batch = index->TopKBatch(ptrs, ks);
-    const auto got_above_batch = index->AboveThresholdBatch(ptrs, thresholds);
+    std::vector<std::vector<SearchHit>> got_topk_batch, got_above_batch;
+    const PairCounts topk_counts = CheckedPairCounts(
+        *index, ks,
+        [&](std::vector<SearchIndex::QuerySearchStats>* stats) {
+          got_topk_batch = index->TopKBatch(ptrs, ks, stats);
+        },
+        tag + " topk-batch");
+    const PairCounts above_counts = CheckedPairCounts(
+        *index, every_query,
+        [&](std::vector<SearchIndex::QuerySearchStats>* stats) {
+          got_above_batch = index->AboveThresholdBatch(ptrs, thresholds, stats);
+        },
+        tag + " above-batch");
+    if (threads == 1) {
+      first_topk_counts = topk_counts;
+      first_above_counts = above_counts;
+    } else {
+      EXPECT_EQ(topk_counts, first_topk_counts) << tag << " topk pair counts";
+      EXPECT_EQ(above_counts, first_above_counts)
+          << tag << " above pair counts";
+    }
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const std::string qtag = tag + " query=" + std::to_string(i);
-      ExpectSameHits(index->TopK(queries[i], k), want_topk[i],
+      ExpectSameHits(index->TopK(queries[i], ks[i]), want_topk[i],
                      qtag + " topk");
       ExpectSameHits(got_topk_batch[i], want_topk[i], qtag + " topk-batch");
       ExpectSameHits(index->AboveThreshold(queries[i], threshold),
                      want_above[i], qtag + " above");
       ExpectSameHits(got_above_batch[i], want_above[i],
                      qtag + " above-batch");
+    }
+  }
+}
+
+void RunDifferential(SearchIndex* index,
+                     const std::vector<FunctionFeature>& queries, int k,
+                     double threshold, const std::string& label) {
+  RunDifferential(index, queries, std::vector<int>(queries.size(), k),
+                  threshold, label);
+}
+
+// Opens a sharded (MANI) copy of `mono` in `*sharded`: `shards` INDX
+// snapshots under `dir` whose concatenation holds mono's entries in order,
+// plus a manifest naming them.
+void OpenShardedCopy(const SearchIndex& mono, const AsteriaModel& model,
+                     const std::string& dir, int shards,
+                     SearchIndex* sharded) {
+  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  store::ShardManifest manifest;
+  manifest.model_fingerprint = model.WeightsFingerprint();
+  manifest.sequence = 1;
+  std::string error;
+  for (int s = 0; s < shards; ++s) {
+    const int begin = mono.size() * s / shards;
+    const int end = mono.size() * (s + 1) / shards;
+    SearchIndex shard(model);
+    for (int i = begin; i < end; ++i) {
+      ASSERT_GE(shard.AddEncoded(mono.name(i), mono.encoding(i),
+                                 mono.callee_count(i)),
+                0);
+    }
+    store::ShardRecord record;
+    record.file = "shard" + std::to_string(s) + ".idx";
+    record.entries = static_cast<std::uint64_t>(end - begin);
+    ASSERT_TRUE(shard.Save(dir + record.file, &error)) << error;
+    manifest.shards.push_back(record);
+  }
+  ASSERT_TRUE(store::SaveManifest(manifest, dir + store::kManifestFileName,
+                                  &error))
+      << error;
+  ASSERT_TRUE(sharded->Open(dir + store::kManifestFileName, &error)) << error;
+  ASSERT_EQ(sharded->size(), mono.size());
+}
+
+// The differential battery on `mono` and on a sharded copy of it, plus
+// sharded ≡ monolithic batched TopK at every thread count.
+void RunDifferentialMonoAndSharded(SearchIndex* mono, const AsteriaModel& model,
+                                   const std::vector<FunctionFeature>& queries,
+                                   const std::vector<int>& ks,
+                                   double threshold, const std::string& label) {
+  RunDifferential(mono, queries, ks, threshold, label + " mono");
+  SearchIndex sharded(model);
+  OpenShardedCopy(*mono, model, TempPath(label + "_shards/"), 3, &sharded);
+  RunDifferential(&sharded, queries, ks, threshold, label + " sharded");
+  std::vector<const FunctionFeature*> ptrs;
+  for (const FunctionFeature& q : queries) ptrs.push_back(&q);
+  for (int threads : {1, 2, 8}) {
+    mono->set_threads(threads);
+    sharded.set_threads(threads);
+    const auto want = mono->TopKBatch(ptrs, ks);
+    const auto got = sharded.TopKBatch(ptrs, ks);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ExpectSameHits(got[i], want[i],
+                     label + " sharded-vs-mono threads=" +
+                         std::to_string(threads) + " query=" +
+                         std::to_string(i));
     }
   }
 }
@@ -192,8 +328,8 @@ TEST(SearchIndexTest, IdenticalScoresTiebreakByInsertionIndex) {
 }
 
 // Adversarial distribution 1: every entry has the same callee count — the
-// side index is a single giant bucket, seeds and the distance cut are
-// useless, and the sweep must degrade gracefully to scoring everything.
+// side index is a single giant ring, the stop rule is useless, and the
+// sweep must degrade gracefully to scoring everything.
 TEST(SearchIndexTest, PrefilterParityAllEqualCallees) {
   const AsteriaConfig config = SmallConfig();
   AsteriaModel model(config);
@@ -228,8 +364,8 @@ TEST(SearchIndexTest, PrefilterParityExtremeSpread) {
   RunDifferential(&index, queries, 10, 0.3, "extreme-spread");
 }
 
-// Uniformly spread counts with a corpus large enough to arm the prefilter:
-// the main regression test that the pruned sweep equals brute force.
+// Uniformly spread counts over a few thousand entries: the main regression
+// test that the ring sweep equals brute force.
 TEST(SearchIndexTest, PrunedSweepMatchesReferenceUniformCallees) {
   const AsteriaConfig config = SmallConfig();
   AsteriaModel model(config);
@@ -238,8 +374,8 @@ TEST(SearchIndexTest, PrunedSweepMatchesReferenceUniformCallees) {
   const std::vector<FunctionFeature> queries{MakeQuery(0, 10), MakeQuery(1, 63),
                                              MakeQuery(2, 0)};
   RunDifferential(&index, queries, 25, 0.5, "uniform");
-  // k above the prune cap (kMaxPruneK) still matches: the sweep falls back
-  // to scoring everything.
+  // A k larger than the whole ring 0 still matches: the floor arms only
+  // after the rings that fill the heap.
   index.set_threads(2);
   const FunctionFeature big = MakeQuery(3, 31);
   ExpectSameHits(index.TopK(big, 600), index.TopKReference(big, 600),
@@ -267,47 +403,8 @@ TEST(SearchIndexTest, ShardedIndexMatchesMonolithic) {
   FillSynthetic(&mono, model, 2400, [](int i) { return (i * 7) % 48; });
 
   // Rebuild the same entries as two shard snapshots plus a manifest.
-  const std::string dir = TempPath("search_index_sharded/");
-  std::remove((dir + "shard0.idx").c_str());
-  std::remove((dir + "shard1.idx").c_str());
-  std::remove((dir + store::kManifestFileName).c_str());
-  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
-  const int half = mono.size() / 2;
-  std::string error;
-  {
-    SearchIndex shard(model);
-    for (int i = 0; i < half; ++i) {
-      ASSERT_GE(shard.AddEncoded(mono.name(i), mono.encoding(i),
-                                 mono.callee_count(i)),
-                0);
-    }
-    ASSERT_TRUE(shard.Save(dir + "shard0.idx", &error)) << error;
-  }
-  {
-    SearchIndex shard(model);
-    for (int i = half; i < mono.size(); ++i) {
-      ASSERT_GE(shard.AddEncoded(mono.name(i), mono.encoding(i),
-                                 mono.callee_count(i)),
-                0);
-    }
-    ASSERT_TRUE(shard.Save(dir + "shard1.idx", &error)) << error;
-  }
-  store::ShardManifest manifest;
-  manifest.model_fingerprint = model.WeightsFingerprint();
-  manifest.sequence = 1;
-  store::ShardRecord rec0, rec1;
-  rec0.file = "shard0.idx";
-  rec0.entries = static_cast<std::uint64_t>(half);
-  rec1.file = "shard1.idx";
-  rec1.entries = static_cast<std::uint64_t>(mono.size() - half);
-  manifest.shards = {rec0, rec1};
-  ASSERT_TRUE(store::SaveManifest(manifest, dir + store::kManifestFileName,
-                                  &error))
-      << error;
-
   SearchIndex sharded(model);
-  ASSERT_TRUE(sharded.Open(dir + store::kManifestFileName, &error)) << error;
-  ASSERT_EQ(sharded.size(), mono.size());
+  OpenShardedCopy(mono, model, TempPath("search_index_sharded/"), 2, &sharded);
 
   const std::vector<FunctionFeature> queries{MakeQuery(0, 20), MakeQuery(1, 3)};
   // Sharded results differential against both its own reference and the
@@ -319,6 +416,135 @@ TEST(SearchIndexTest, ShardedIndexMatchesMonolithic) {
     for (const FunctionFeature& q : queries) {
       ExpectSameHits(sharded.TopK(q, 15), mono.TopK(q, 15),
                      "sharded-vs-mono threads=" + std::to_string(threads));
+    }
+  }
+}
+
+// Ring-boundary cases, on a monolithic index and its sharded copy. The
+// callee classes are sparse — {0, 1, 17, 900} — so the sweep jumps over
+// empty distances and, for the query at 2000, scores rings past the
+// 768-entry exp table whose scores underflow to ties at 0.0. Class 17 holds
+// only 3 entries, so its ring 0 is smaller than k (by one, for k = 4) and
+// the floor arms only after a later ring; queries at 5 and 2000 have no
+// ring 0 at all. The ks include 512 and 513 and a k = 0 query in the same
+// batch.
+TEST(SearchIndexTest, RingBoundaryParity) {
+  const AsteriaConfig config = SmallConfig();
+  AsteriaModel model(config);
+  SearchIndex index(model);
+  FillSynthetic(&index, model, 2600, [](int i) {
+    if (i == 5 || i == 1400 || i == 2599) return 17;
+    if (i % 10 == 0) return 900;
+    return i % 2;
+  });
+  const std::vector<FunctionFeature> queries{
+      MakeQuery(0, 17),  MakeQuery(1, 5), MakeQuery(2, 900),
+      MakeQuery(3, 2000), MakeQuery(4, 0), MakeQuery(5, 17),
+      MakeQuery(6, 17)};
+  RunDifferentialMonoAndSharded(&index, model, queries,
+                                {10, 0, 512, 513, 10, 513, 4}, 0.3,
+                                "ring_boundary");
+}
+
+// Duplicate encodings at the stop ring. The query's own encoding is stored
+// 3 times in ring 0 (fewer than k = 5) and 4 times on each side of ring 1,
+// interleaved in insertion order, so the 8 ring-1 copies tie and the k-th
+// cut falls inside the tie: it must go by insertion index, exactly as in
+// the reference. With the regression head the self-similarity is ~1, so
+// ring 1 is the last ring scored (its floor e^-1 beats ring 2's bound);
+// the AboveThreshold pass uses the tied score itself as the threshold.
+TEST(SearchIndexTest, RingTiesAtTheStopRing) {
+  const AsteriaConfig config = SmallConfig(SiameseHead::kRegression);
+  AsteriaModel model(config);
+  SearchIndex index(model);
+  const FunctionFeature query = MakeQuery(0, 50);
+  const nn::Matrix own = model.Encode(query.tree);
+  const double self = model.SimilarityFromEncodings(own, own);
+  ASSERT_GT(self * std::exp(-1.0), std::exp(-2.0) * 1.001)
+      << "test premise: ring 2's bound must fall below the ring-1 ties";
+  for (int round = 0; round < 4; ++round) {
+    for (int callees : {51, 49, 52, 48}) {
+      ASSERT_GE(index.AddEncoded("dup" + std::to_string(index.size()), own,
+                                 callees),
+                0);
+    }
+    if (round < 3) {
+      ASSERT_GE(index.AddEncoded("own" + std::to_string(index.size()), own,
+                                 50),
+                0);
+    }
+  }
+  FillSynthetic(&index, model, 300, [](int) { return 400; });
+
+  const std::vector<FunctionFeature> queries{query};
+  const double tie_score = index.TopKReference(query, 5)[4].score;
+  RunDifferentialMonoAndSharded(&index, model, queries, {5}, tie_score,
+                                "ring_ties");
+  index.set_threads(2);
+  std::vector<SearchIndex::QuerySearchStats> stats;
+  const auto top = index.TopKBatch({&query}, {5}, &stats);
+  ASSERT_EQ(top[0].size(), 5u);
+  EXPECT_EQ(top[0][3].score, top[0][4].score);
+  EXPECT_EQ(stats[0].scored_pairs, 11u);  // ring 0 (3) + ring 1 (8)
+}
+
+// The exact prune count on a fleet-like skewed index: three callee classes
+// holding 41/42/17% of the entries. Each class's first entries (in
+// insertion order) score below e^-1 against that class's query, and the
+// class also holds k planted entries scoring above it. Ring 0 therefore
+// leaves a floor that beats ring 1's bound, so each query scores exactly
+// its own class and prunes the rest — at every thread count.
+TEST(SearchIndexTest, RingSweepScoresOnlyTheOwnClassOnSkewedIndex) {
+  const AsteriaConfig config = SmallConfig(SiameseHead::kRegression);
+  AsteriaModel model(config);
+  SearchIndex index(model);
+  const int h = config.siamese.encoder.hidden_dim;
+  const int k = 10;
+  const std::vector<int> class_sizes{984, 1008, 408};
+  std::vector<FunctionFeature> queries;
+  util::Rng rng(0x5ca1ab1eULL);
+  for (int c = 0; c < 3; ++c) {
+    queries.push_back(MakeQuery(c, c));
+    const nn::Matrix query_encoding = model.Encode(queries.back().tree);
+    // Rejection-samples an encoding whose similarity to this class's query
+    // is below (low) or above (high) the ring-1 bound.
+    auto sample = [&](bool high) {
+      nn::Matrix enc(h, 1);
+      for (int attempt = 0; attempt < 100000; ++attempt) {
+        for (int r = 0; r < h; ++r) {
+          enc(r, 0) = static_cast<double>(rng.NextBounded(2000)) / 1000.0 - 1.0;
+        }
+        const double m = model.SimilarityFromEncodings(query_encoding, enc);
+        if (high ? m > 0.5 : m < 0.3) return enc;
+      }
+      ADD_FAILURE() << "no encoding found";
+      return enc;
+    };
+    const int size = class_sizes[static_cast<std::size_t>(c)];
+    for (int i = 0; i < size; ++i) {
+      ASSERT_GE(index.AddEncoded("c" + std::to_string(c) + "_" +
+                                     std::to_string(i),
+                                 sample(i >= size - k), c),
+                0);
+    }
+  }
+  const std::vector<int> ks(queries.size(), k);
+  std::vector<const FunctionFeature*> ptrs;
+  for (const FunctionFeature& q : queries) ptrs.push_back(&q);
+  for (int threads : {1, 2, 8}) {
+    index.set_threads(threads);
+    std::vector<SearchIndex::QuerySearchStats> stats;
+    const auto got = index.TopKBatch(ptrs, ks, &stats);
+    for (std::size_t c = 0; c < queries.size(); ++c) {
+      const std::string tag = "threads=" + std::to_string(threads) +
+                              " class=" + std::to_string(c);
+      EXPECT_EQ(stats[c].scored_pairs,
+                static_cast<std::uint64_t>(class_sizes[c]))
+          << tag;
+      EXPECT_EQ(stats[c].pruned_pairs,
+                static_cast<std::uint64_t>(index.size() - class_sizes[c]))
+          << tag;
+      ExpectSameHits(got[c], index.TopKReference(queries[c], k), tag);
     }
   }
 }
