@@ -231,7 +231,7 @@ static void Collect(bool top_k, const Plan& plan, std::vector<Ref>* out,
 double* SearchIndex::PackedColumns::AppendColumn() {
   const std::int64_t block = count_ / kBlockCols;
   if (block == static_cast<std::int64_t>(blocks_.size())) {
-    blocks_.push_back(std::make_unique<double[]>(
+    blocks_.push_back(std::make_unique_for_overwrite<double[]>(
         static_cast<std::size_t>(kBlockCols) * static_cast<std::size_t>(dim_)));
   }
   double* column = blocks_[static_cast<std::size_t>(block)].get() +
@@ -826,7 +826,7 @@ bool SearchIndex::AppendTo(const std::string& path, int first_index,
       *error = path + ": snapshot is missing its leading IMET chunk";
       return false;
     }
-    std::vector<std::uint8_t> payload;
+    store::ChunkView payload;
     if (!reader.ReadChunk(0, &payload, error)) return false;
     store::ChunkParser parser(payload);
     std::uint32_t version = 0, fingerprint = 0;
@@ -858,23 +858,26 @@ bool SearchIndex::AppendTo(const std::string& path, int first_index,
   return writer.Finish(error);
 }
 
-bool SearchIndex::LoadEntriesFrom(const std::string& path, StagedEntries* out,
-                                  std::string* error) const {
-  store::Reader reader;
-  if (!reader.Open(path, store::kKindIndex, error)) return false;
+bool SearchIndex::AppendEntriesFrom(const store::Reader& snapshot,
+                                    std::uint32_t fingerprint,
+                                    std::vector<EntryMeta>* entries,
+                                    PackedColumns* packed,
+                                    std::string* error) const {
+  const std::string& path = snapshot.path();
+  const std::size_t dim = static_cast<std::size_t>(hidden_dim_);
   bool saw_meta = false;
-  std::vector<std::uint8_t> payload;
-  for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
-    const store::ChunkInfo& info = reader.chunks()[i];
+  store::ChunkView payload;
+  for (std::size_t i = 0; i < snapshot.chunks().size(); ++i) {
+    const store::ChunkInfo& info = snapshot.chunks()[i];
     if (info.tag != kTagIndexMeta && info.tag != kTagIndexEntry) {
       continue;  // unknown chunks are skippable (forward compat)
     }
-    if (!reader.ReadChunk(i, &payload, error)) return false;
+    if (!snapshot.ReadChunk(i, &payload, error)) return false;
     store::ChunkParser parser(payload);
     if (info.tag == kTagIndexMeta) {
-      std::uint32_t version = 0, fingerprint = 0;
+      std::uint32_t version = 0, stored_fingerprint = 0;
       if (!parser.GetU32(&version, error) ||
-          !parser.GetU32(&fingerprint, error)) {
+          !parser.GetU32(&stored_fingerprint, error)) {
         return false;
       }
       if (version != kSnapshotVersion) {
@@ -882,7 +885,7 @@ bool SearchIndex::LoadEntriesFrom(const std::string& path, StagedEntries* out,
                  std::to_string(version);
         return false;
       }
-      if (fingerprint != model_.WeightsFingerprint()) {
+      if (stored_fingerprint != fingerprint) {
         *error = path + ": snapshot was encoded by different model weights "
                         "(fingerprint mismatch) — scores would be garbage; "
                         "load the matching checkpoint first or rebuild";
@@ -902,42 +905,34 @@ bool SearchIndex::LoadEntriesFrom(const std::string& path, StagedEntries* out,
         !parser.GetU32(&rows, error) || !parser.GetU32(&cols, error)) {
       return false;
     }
-    // Guard the allocation: a corrupted size field must not turn into a
-    // multi-gigabyte resize. The payload itself bounds the element count.
-    const std::uint64_t elements =
-        static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
-    if (elements * sizeof(double) > parser.remaining()) {
-      *error = path + ": entry '" + entry.name + "' declares " +
-               std::to_string(rows) + "x" + std::to_string(cols) +
-               " encoding but only " + std::to_string(parser.remaining()) +
-               " payload bytes remain — corrupted entry";
-      return false;
-    }
     // The model only produces hidden_dim x 1 encodings; anything else is a
     // corrupted entry or a snapshot from an incompatible build, and scoring
-    // against it would read out of bounds or produce garbage.
-    if (static_cast<int>(rows) != hidden_dim_ || cols != 1) {
+    // against it would read out of bounds or produce garbage. Checked
+    // first, so the size check below never multiplies hostile fields.
+    if (rows != dim || cols != 1) {
       *error = path + ": entry '" + entry.name + "' has encoding shape " +
                std::to_string(rows) + "x" + std::to_string(cols) +
                " but this model produces " + std::to_string(hidden_dim_) +
                "x1 encodings";
       return false;
     }
-    // Stage the column straight into packed (column-contiguous) form.
-    const std::size_t base = out->columns.size();
-    out->columns.resize(base + static_cast<std::size_t>(hidden_dim_));
-    if (!parser.GetF64Array(out->columns.data() + base,
-                            static_cast<std::size_t>(hidden_dim_), error)) {
+    if (dim > parser.remaining() / sizeof(double)) {
+      *error = path + ": entry '" + entry.name + "' declares " +
+               std::to_string(rows) + "x" + std::to_string(cols) +
+               " encoding but only " + std::to_string(parser.remaining()) +
+               " payload bytes remain — corrupted entry";
       return false;
     }
-    if (!AllFinite(out->columns.data() + base,
-                   static_cast<std::size_t>(hidden_dim_))) {
+    // The one copy: file bytes straight into the packed column.
+    double* column = packed->AppendColumn();
+    if (!parser.GetF64Array(column, dim, error)) return false;
+    if (!AllFinite(column, dim)) {
       *error = path + ": entry '" + entry.name +
                "' encoding contains non-finite values (NaN/Inf) — corrupted "
                "snapshot";
       return false;
     }
-    out->meta.push_back(std::move(entry));
+    entries->push_back(std::move(entry));
   }
   if (!saw_meta) {
     *error = path + ": missing IMET metadata chunk";
@@ -946,78 +941,107 @@ bool SearchIndex::LoadEntriesFrom(const std::string& path, StagedEntries* out,
   return true;
 }
 
-void SearchIndex::CommitStaged(StagedEntries&& staged) {
-  entries_.reserve(entries_.size() + staged.meta.size());
-  for (std::size_t i = 0; i < staged.meta.size(); ++i) {
-    std::memcpy(packed_.AppendColumn(),
-                staged.columns.data() + i * static_cast<std::size_t>(hidden_dim_),
-                static_cast<std::size_t>(hidden_dim_) * sizeof(double));
-    entries_.push_back(std::move(staged.meta[i]));
+bool SearchIndex::LoadFrom(const store::Reader& snapshot, std::string* error) {
+  // Parse into fresh storage and swap it in, so a failure leaves the index
+  // untouched. The chunk count bounds the entry count (one chunk each).
+  std::vector<EntryMeta> entries;
+  entries.reserve(snapshot.chunks().size());
+  PackedColumns packed;
+  packed.Reset(hidden_dim_);
+  if (!AppendEntriesFrom(snapshot, model_.WeightsFingerprint(), &entries,
+                         &packed, error)) {
+    return false;
   }
+  entries_ = std::move(entries);
+  packed_ = std::move(packed);
   MarkSideIndexDirty();
+  return true;
 }
 
 bool SearchIndex::Load(const std::string& path, std::string* error) {
-  StagedEntries staged;
-  if (!LoadEntriesFrom(path, &staged, error)) return false;
-  entries_.clear();
-  packed_.Reset(hidden_dim_);
-  CommitStaged(std::move(staged));
-  return true;
+  store::Reader snapshot;
+  if (!snapshot.Open(path, store::kKindIndex, error)) return false;
+  return LoadFrom(snapshot, error);
 }
 
 bool SearchIndex::LoadAppend(const std::string& path, std::string* error) {
-  // Stage into scratch buffers so a mid-file failure never leaves the
-  // index holding a partial shard.
-  StagedEntries staged;
-  if (!LoadEntriesFrom(path, &staged, error)) return false;
-  CommitStaged(std::move(staged));
+  store::Reader snapshot;
+  if (!snapshot.Open(path, store::kKindIndex, error)) return false;
+  // Append in place and roll back on failure, so a mid-file failure never
+  // leaves the index holding a partial shard.
+  const std::size_t before = entries_.size();
+  if (!AppendEntriesFrom(snapshot, model_.WeightsFingerprint(), &entries_,
+                         &packed_, error)) {
+    entries_.resize(before);
+    packed_.Truncate(static_cast<std::int64_t>(before));
+    return false;
+  }
+  MarkSideIndexDirty();
   return true;
 }
 
-bool SearchIndex::OpenSharded(const std::string& manifest_path,
-                              std::string* error) {
+bool SearchIndex::OpenShardedFrom(const store::Reader& manifest_reader,
+                                  std::string* error) {
+  const std::string& manifest_path = manifest_reader.path();
   store::ShardManifest manifest;
-  if (!LoadManifest(&manifest, manifest_path, error)) return false;
-  if (manifest.model_fingerprint != model_.WeightsFingerprint()) {
+  if (!store::LoadManifest(&manifest, manifest_reader, error)) return false;
+  // Computed once (a CRC over every weight) and checked against every shard.
+  const std::uint32_t fingerprint = model_.WeightsFingerprint();
+  if (manifest.model_fingerprint != fingerprint) {
     *error = manifest_path +
              ": manifest was published for different model weights "
              "(fingerprint mismatch) — load the matching checkpoint or "
              "re-ingest";
     return false;
   }
+  // Sized from the manifest's recorded entries. A corrupt count is trusted
+  // only up to a bound, so it fails below with the out-of-sync error
+  // instead of in the allocator.
+  constexpr std::uint64_t kMaxReservedEntries = 1u << 20;
+  std::vector<EntryMeta> entries;
+  entries.reserve(static_cast<std::size_t>(
+      std::min(manifest.TotalEntries(), kMaxReservedEntries)));
+  PackedColumns packed;
+  packed.Reset(hidden_dim_);
   const std::string dir = store::DirOf(manifest_path);
-  StagedEntries staged;
   for (const store::ShardRecord& shard : manifest.shards) {
-    const std::size_t before = staged.meta.size();
-    if (!LoadEntriesFrom(dir + "/" + shard.file, &staged, error)) {
+    const std::size_t before = entries.size();
+    store::Reader snapshot;
+    if (!snapshot.Open(dir + "/" + shard.file, store::kKindIndex, error) ||
+        !AppendEntriesFrom(snapshot, fingerprint, &entries, &packed, error)) {
       return false;
     }
-    if (staged.meta.size() - before != shard.entries) {
+    if (entries.size() - before != shard.entries) {
       *error = manifest_path + ": shard '" + shard.file + "' holds " +
-               std::to_string(staged.meta.size() - before) +
+               std::to_string(entries.size() - before) +
                " entries but the manifest records " +
                std::to_string(shard.entries) +
                " — shard and manifest are out of sync";
       return false;
     }
   }
-  entries_.clear();
-  packed_.Reset(hidden_dim_);
-  CommitStaged(std::move(staged));
+  entries_ = std::move(entries);
+  packed_ = std::move(packed);
+  MarkSideIndexDirty();
   return true;
 }
 
+bool SearchIndex::OpenSharded(const std::string& manifest_path,
+                              std::string* error) {
+  store::Reader manifest;
+  if (!manifest.Open(manifest_path, store::kKindManifest, error)) return false;
+  return OpenShardedFrom(manifest, error);
+}
+
 bool SearchIndex::Open(const std::string& path, std::string* error) {
-  std::uint32_t kind = 0;
-  {
-    store::Reader reader;
-    if (!reader.Open(path, 0, error)) return false;
-    kind = reader.kind();
+  // One read of the container serves both the kind sniff and the load.
+  store::Reader reader;
+  if (!reader.Open(path, 0, error)) return false;
+  if (reader.kind() == store::kKindIndex) return LoadFrom(reader, error);
+  if (reader.kind() == store::kKindManifest) {
+    return OpenShardedFrom(reader, error);
   }
-  if (kind == store::kKindIndex) return Load(path, error);
-  if (kind == store::kKindManifest) return OpenSharded(path, error);
-  *error = path + ": " + store::FourCcName(kind) +
+  *error = path + ": " + store::FourCcName(reader.kind()) +
            " container is neither an INDX snapshot nor a MANI manifest";
   return false;
 }

@@ -47,6 +47,10 @@
 #include "core/asteria.h"
 #include "util/pipeline_report.h"
 
+namespace asteria::store {
+class Reader;
+}  // namespace asteria::store
+
 namespace asteria::core {
 
 struct SearchHit {
@@ -166,7 +170,8 @@ class SearchIndex {
   // the same TopK scores and ordering for any thread count, extending the
   // ParallelFor determinism contract across process boundaries. Corrupted
   // or truncated snapshots fail with a descriptive `error`, never load
-  // partial state. Loads land directly in the packed encode matrix.
+  // partial state. Loads copy each column once, from the container's
+  // bytes straight into the packed encode matrix.
 
   // Writes all entries to `path`, replacing any existing file.
   bool Save(const std::string& path, std::string* error) const;
@@ -220,6 +225,12 @@ class SearchIndex {
     std::int64_t count() const { return count_; }
     // Pointer to a fresh uninitialized column for the caller to fill.
     double* AppendColumn();
+    // Drops every column from `count` on (rolls back a failed append).
+    void Truncate(std::int64_t count) {
+      count_ = count;
+      blocks_.resize(static_cast<std::size_t>((count + kBlockCols - 1) /
+                                              kBlockCols));
+    }
     const double* Column(std::int64_t i) const {
       return blocks_[static_cast<std::size_t>(i / kBlockCols)].get() +
              (i % kBlockCols) * dim_;
@@ -242,12 +253,6 @@ class SearchIndex {
   // Per-query ring-sweep state: the encoded query, its collector, and the
   // side-order range its scored rings cover.
   struct QueryPlan;
-
-  // Entries staged by a snapshot load before committing to the index.
-  struct StagedEntries {
-    std::vector<EntryMeta> meta;
-    std::vector<double> columns;  // meta.size() columns, dim doubles each
-  };
 
   // Old-path scorer for the reference implementations. Entry encodings are
   // materialized from the packed columns once per sweep (same doubles, so
@@ -280,9 +285,17 @@ class SearchIndex {
     side_dirty_.store(true, std::memory_order_release);
   }
 
-  void CommitStaged(StagedEntries&& staged);
-  bool LoadEntriesFrom(const std::string& path, StagedEntries* out,
-                       std::string* error) const;
+  // Appends the entries of the INDX snapshot open in `snapshot` to
+  // `entries` and `packed`, parsing straight from the reader's chunk views.
+  // `fingerprint` is this model's WeightsFingerprint(). On failure they may
+  // hold a partial tail, which the caller drops.
+  bool AppendEntriesFrom(const store::Reader& snapshot,
+                         std::uint32_t fingerprint,
+                         std::vector<EntryMeta>* entries,
+                         PackedColumns* packed, std::string* error) const;
+  // Load / OpenSharded on an already-open INDX / MANI container.
+  bool LoadFrom(const store::Reader& snapshot, std::string* error);
+  bool OpenShardedFrom(const store::Reader& manifest, std::string* error);
 
   const AsteriaModel& model_;
   int threads_ = 1;

@@ -191,7 +191,7 @@ bool LoadCorpus(Corpus* corpus, const CorpusConfig& config,
   loaded.report.stage = "corpus-load";
   std::uint64_t declared_functions = 0;
   bool saw_meta = false;
-  std::vector<std::uint8_t> payload;
+  store::ChunkView payload;
   for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
     const store::ChunkInfo& info = reader.chunks()[i];
     if (info.tag != kTagCorpusMeta && info.tag != kTagCorpusFunction) continue;

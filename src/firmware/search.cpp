@@ -284,7 +284,7 @@ bool LoadFirmwareEncodings(std::vector<nn::Matrix>* encodings,
   std::uint64_t declared_count = 0;
   bool saw_meta = false;
   std::vector<nn::Matrix> loaded;
-  std::vector<std::uint8_t> payload;
+  store::ChunkView payload;
   for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
     const store::ChunkInfo& info = reader.chunks()[i];
     if (info.tag != kTagEncodingsMeta && info.tag != kTagEncodingsData) {

@@ -86,7 +86,7 @@ bool LoadModelCheckpoint(nn::ParameterStore* params, const std::string& path,
   // has been matched and parsed.
   std::vector<std::pair<nn::Parameter*, std::vector<double>>> staged;
   std::set<std::string> seen;
-  std::vector<std::uint8_t> payload;
+  ChunkView payload;
   for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
     const ChunkInfo& info = reader.chunks()[i];
     if (info.tag != kTagModelMeta && info.tag != kTagParameter) {

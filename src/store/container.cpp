@@ -1,7 +1,5 @@
 #include "store/container.h"
 
-#include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -27,6 +25,7 @@ util::Failpoint fp_read("store.read");
 
 // Payload traffic only (framing/header bytes excluded): what flows through
 // WriteChunk and ReadChunk, so cache effectiveness is readable directly.
+// A payload counts as read when its view is handed out.
 util::Counter c_bytes_written("store.bytes_written");
 util::Counter c_bytes_read("store.bytes_read");
 util::Counter c_crc_failures("store.crc_failures");
@@ -64,6 +63,9 @@ std::uint64_t DecodeU64(const std::uint8_t* p) {
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
 }
+
+// The file byte order; f64 arrays are one memcpy on such hosts.
+constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
 std::string AtOffset(const std::string& path, std::uint64_t offset) {
   return path + " (offset " + std::to_string(offset) + ")";
@@ -106,35 +108,30 @@ bool ParseHeader(const std::string& path, const std::uint8_t* bytes,
   return true;
 }
 
-// Scans the chunk sequence of an open file starting at kHeaderSize.
-// `file_size` must be the true size. Fills `chunks`; fails on any frame
-// that does not fit, which also catches truncated files.
-bool ScanChunks(std::FILE* file, const std::string& path,
-                std::uint64_t file_size, std::vector<ChunkInfo>* chunks,
+// Scans the chunk sequence in the container bytes `bytes[0, size)`,
+// starting at kHeaderSize. Fills `chunks`; fails on any frame that does not
+// fit, which also catches truncated files.
+bool ScanChunks(const std::uint8_t* bytes, std::uint64_t size,
+                const std::string& path, std::vector<ChunkInfo>* chunks,
                 std::string* error) {
   std::uint64_t offset = kHeaderSize;
-  std::array<std::uint8_t, kChunkHeaderSize> frame;
-  while (offset < file_size) {
-    if (file_size - offset < kChunkHeaderSize) {
+  while (offset < size) {
+    if (size - offset < kChunkHeaderSize) {
       *error = AtOffset(path, offset) + ": truncated chunk header (" +
-               std::to_string(file_size - offset) + " trailing bytes)";
+               std::to_string(size - offset) + " trailing bytes)";
       return false;
     }
-    if (std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0 ||
-        std::fread(frame.data(), 1, frame.size(), file) != frame.size()) {
-      *error = AtOffset(path, offset) + ": read of chunk header failed";
-      return false;
-    }
+    const std::uint8_t* frame = bytes + offset;
     ChunkInfo info;
-    info.tag = DecodeU32(frame.data());
-    info.size = DecodeU64(frame.data() + 4);
-    info.crc32 = DecodeU32(frame.data() + 12);
+    info.tag = DecodeU32(frame);
+    info.size = DecodeU64(frame + 4);
+    info.crc32 = DecodeU32(frame + 12);
     info.offset = offset + kChunkHeaderSize;
-    if (info.size > file_size - info.offset) {
+    if (info.size > size - info.offset) {
       *error = AtOffset(path, offset) + ": chunk " + FourCcName(info.tag) +
                " declares " + std::to_string(info.size) +
                " payload bytes but only " +
-               std::to_string(file_size - info.offset) +
+               std::to_string(size - info.offset) +
                " remain — truncated file";
       return false;
     }
@@ -144,19 +141,36 @@ bool ScanChunks(std::FILE* file, const std::string& path,
   return true;
 }
 
-bool FileSize(std::FILE* file, const std::string& path, std::uint64_t* size,
-              std::string* error) {
-  if (std::fseek(file, 0, SEEK_END) != 0) {
-    *error = path + ": cannot seek to end";
-    return false;
-  }
-  const long end = std::ftell(file);
-  if (end < 0) {
+// The one container load Reader::Open and Writer::OpenAppend share: reads
+// all of `file` (and closes it) into `bytes` with a single read, validates
+// the header and scans the chunk table from memory.
+bool LoadContainer(std::FILE* file, const std::string& path,
+                   std::uint32_t expected_kind,
+                   std::unique_ptr<std::uint8_t[]>* bytes, std::uint64_t* size,
+                   std::uint32_t* version, std::uint32_t* kind,
+                   std::vector<ChunkInfo>* chunks, std::string* error) {
+  bool ok = false;
+  long end = -1;
+  if (std::fseek(file, 0, SEEK_END) != 0 || (end = std::ftell(file)) < 0 ||
+      std::fseek(file, 0, SEEK_SET) != 0) {
     *error = path + ": cannot determine file size";
-    return false;
+  } else {
+    *size = static_cast<std::uint64_t>(end);
+    // Uninitialized: every byte is overwritten by the read below.
+    *bytes = std::make_unique_for_overwrite<std::uint8_t[]>(*size);
+    const std::size_t got = std::fread(bytes->get(), 1, *size, file);
+    if (got != *size) {
+      *error = path + ": read failed (" + std::to_string(got) + " of " +
+               std::to_string(*size) + " bytes)";
+    } else {
+      ok = true;
+    }
   }
-  *size = static_cast<std::uint64_t>(end);
-  return true;
+  std::fclose(file);
+  return ok &&
+         ParseHeader(path, bytes->get(), *size, expected_kind, version, kind,
+                     error) &&
+         ScanChunks(bytes->get(), *size, path, chunks, error);
 }
 
 }  // namespace
@@ -192,8 +206,12 @@ void ChunkBuilder::PutBytes(const void* data, std::size_t size) {
 }
 
 void ChunkBuilder::PutF64Array(const double* data, std::size_t count) {
-  bytes_.reserve(bytes_.size() + count * 8);
-  for (std::size_t i = 0; i < count; ++i) PutF64(data[i]);
+  if constexpr (kLittleEndianHost) {
+    PutBytes(data, count * sizeof(double));
+  } else {
+    bytes_.reserve(bytes_.size() + count * 8);
+    for (std::size_t i = 0; i < count; ++i) PutF64(data[i]);
+  }
 }
 
 bool ChunkParser::Need(std::size_t n, std::string* error) {
@@ -279,9 +297,14 @@ bool ChunkParser::GetF64Array(double* out, std::size_t count,
     }
     return false;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = std::bit_cast<double>(DecodeU64(data_ + offset_));
-    offset_ += 8;
+  if constexpr (kLittleEndianHost) {
+    if (count > 0) std::memcpy(out, data_ + offset_, count * 8);
+    offset_ += count * 8;
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = std::bit_cast<double>(DecodeU64(data_ + offset_));
+      offset_ += 8;
+    }
   }
   return true;
 }
@@ -345,50 +368,22 @@ bool Writer::OpenAppend(const std::string& path, std::uint32_t kind,
     *error = path + ": cannot open for appending";
     return false;
   }
+  std::unique_ptr<std::uint8_t[]> bytes;
   std::uint64_t size = 0;
-  if (!FileSize(src, path, &size, error)) {
-    std::fclose(src);
-    return false;
-  }
-  std::array<std::uint8_t, kHeaderSize> header;
-  if (std::fseek(src, 0, SEEK_SET) != 0 ||
-      std::fread(header.data(), 1, header.size(), src) != header.size()) {
-    *error = path + ": header read failed";
-    std::fclose(src);
-    return false;
-  }
   std::uint32_t version = 0, found_kind = 0;
   std::vector<ChunkInfo> chunks;
-  if (!ParseHeader(path, header.data(), header.size(), kind, &version,
-                   &found_kind, error) ||
-      !ScanChunks(src, path, size, &chunks, error)) {
-    std::fclose(src);
+  if (!LoadContainer(src, path, kind, &bytes, &size, &version, &found_kind,
+                     &chunks, error)) {
     return false;
   }
   const std::string temp_path = path + ".tmp";
   std::FILE* file = std::fopen(temp_path.c_str(), "wb");
   if (file == nullptr) {
     *error = temp_path + ": cannot open for writing";
-    std::fclose(src);
     return false;
   }
-  if (std::fseek(src, 0, SEEK_SET) != 0) {
-    *error = path + ": cannot rewind for copy";
-    std::fclose(src);
-    std::fclose(file);
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  std::array<std::uint8_t, 1 << 16> buffer;
-  bool copy_failed = fp_write.ShouldFail();
-  while (!copy_failed) {
-    const std::size_t got = std::fread(buffer.data(), 1, buffer.size(), src);
-    if (got == 0) break;
-    if (std::fwrite(buffer.data(), 1, got, file) != got) copy_failed = true;
-  }
-  copy_failed = copy_failed || std::ferror(src) != 0;
-  std::fclose(src);
-  if (copy_failed) {
+  if (fp_write.ShouldFail() ||
+      std::fwrite(bytes.get(), 1, size, file) != size) {
     *error = temp_path + ": copy for append failed";
     std::fclose(file);
     std::remove(temp_path.c_str());
@@ -455,20 +450,10 @@ bool Writer::Finish(std::string* error) {
   return true;
 }
 
-struct Reader::Impl {
-  std::FILE* file = nullptr;
-  std::string path;
-};
-
-Reader::~Reader() {
-  if (impl_ != nullptr) {
-    if (impl_->file != nullptr) std::fclose(impl_->file);
-    delete impl_;
-  }
-}
-
 bool Reader::Open(const std::string& path, std::uint32_t expected_kind,
                   std::string* error) {
+  bytes_.reset();
+  chunks_.clear();
   std::FILE* file =
       fp_read_open.ShouldFail() ? nullptr : std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
@@ -476,61 +461,48 @@ bool Reader::Open(const std::string& path, std::uint32_t expected_kind,
     return false;
   }
   std::uint64_t size = 0;
-  if (!FileSize(file, path, &size, error)) {
-    std::fclose(file);
-    return false;
-  }
-  std::array<std::uint8_t, kHeaderSize> header;
-  if (std::fseek(file, 0, SEEK_SET) != 0 ||
-      std::fread(header.data(), 1, header.size(), file) !=
-          std::min<std::size_t>(header.size(), size)) {
-    *error = path + ": header read failed";
-    std::fclose(file);
-    return false;
-  }
-  if (!ParseHeader(path, header.data(), std::min<std::size_t>(size, header.size()),
-                   expected_kind, &version_, &kind_, error) ||
-      !ScanChunks(file, path, size, &chunks_, error)) {
-    std::fclose(file);
+  if (!LoadContainer(file, path, expected_kind, &bytes_, &size, &version_,
+                     &kind_, &chunks_, error)) {
+    bytes_.reset();
     chunks_.clear();
     return false;
   }
-  impl_ = new Impl{file, path};
+  path_ = path;
   return true;
 }
 
-bool Reader::ReadChunk(std::size_t index, std::vector<std::uint8_t>* payload,
+bool Reader::ReadChunk(std::size_t index, ChunkView* payload,
                        std::string* error) const {
-  if (impl_ == nullptr || impl_->file == nullptr) {
+  if (bytes_ == nullptr) {
     *error = "reader not open";
     return false;
   }
   if (index >= chunks_.size()) {
-    *error = impl_->path + ": chunk index " + std::to_string(index) +
+    *error = path_ + ": chunk index " + std::to_string(index) +
              " out of range (" + std::to_string(chunks_.size()) + " chunks)";
     return false;
   }
   const ChunkInfo& info = chunks_[index];
-  payload->resize(info.size);
-  if (fp_read.ShouldFail() ||
-      std::fseek(impl_->file, static_cast<long>(info.offset), SEEK_SET) != 0 ||
-      std::fread(payload->data(), 1, payload->size(), impl_->file) !=
-          payload->size()) {
-    *error = AtOffset(impl_->path, info.offset) + ": chunk payload read failed";
+  // Open read the whole file; store.read fires once per payload handed
+  // out, so a hit count selects one chunk.
+  if (fp_read.ShouldFail()) {
+    *error = AtOffset(path_, info.offset) + ": chunk payload read failed";
     return false;
   }
-  c_bytes_read.Add(payload->size());
-  const std::uint32_t actual = Crc32(payload->data(), payload->size());
+  const ChunkView view(bytes_.get() + info.offset, info.size);
+  c_bytes_read.Add(view.size());
+  const std::uint32_t actual = Crc32(view.data(), view.size());
   if (actual != info.crc32) {
     c_crc_failures.Increment();
     char expect[16], got[16];
     std::snprintf(expect, sizeof(expect), "%08x", info.crc32);
     std::snprintf(got, sizeof(got), "%08x", actual);
-    *error = AtOffset(impl_->path, info.offset) + ": CRC32 mismatch in chunk " +
+    *error = AtOffset(path_, info.offset) + ": CRC32 mismatch in chunk " +
              FourCcName(info.tag) + " (declared " + expect + ", computed " +
              got + ") — file is corrupted";
     return false;
   }
+  *payload = view;
   return true;
 }
 

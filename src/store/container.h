@@ -5,16 +5,21 @@
 // Layout: a fixed 20-byte header (magic, container version, file kind,
 // endianness tag) followed by a sequence of self-delimiting chunks. Each
 // chunk carries a 4-byte tag, a u64 payload size, and the CRC32 of its
-// payload; the reader scans the sequence once to build the chunk table and
-// validates the CRC on every payload it hands out. All scalars are encoded
-// explicitly little-endian, byte by byte, so files are portable across
-// hosts regardless of native endianness.
+// payload. All scalars are encoded explicitly little-endian, so files are
+// portable across hosts regardless of native endianness.
+//
+// Reading: Reader::Open reads the whole container with one read into one
+// owned buffer and scans the chunk table from memory. ReadChunk hands out a
+// view into that buffer (no copy) and checks the payload's CRC on every
+// access, so a flipped byte fails when its chunk is accessed. Peak memory
+// of a load is one container.
 //
 // Append support: because chunks are self-delimiting and there is no
 // trailing directory, extending an artifact is "open for append, write more
-// chunks". Writer::OpenAppend verifies the existing header and that the
-// file ends exactly on a chunk boundary before extending it, so appends
-// never bury a truncation.
+// chunks". Writer::OpenAppend reads the existing file the same way, verifies
+// its header and that it ends exactly on a chunk boundary (the same chunk
+// scan the Reader uses) before extending it, so appends never bury a
+// truncation.
 //
 // Error contract: every fallible operation returns false and fills a
 // descriptive `error` string (path, offset, expectation vs. reality).
@@ -30,6 +35,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,11 +93,12 @@ class ChunkBuilder {
 
 // Bounds-checked cursor over a chunk payload. Every getter returns false
 // (and fills `error`) on overrun instead of reading past the end.
+// GetF64Array is one memcpy on little-endian hosts (the file byte order).
 class ChunkParser {
  public:
   ChunkParser(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
-  explicit ChunkParser(const std::vector<std::uint8_t>& bytes)
+  explicit ChunkParser(std::span<const std::uint8_t> bytes)
       : ChunkParser(bytes.data(), bytes.size()) {}
 
   bool GetU8(std::uint8_t* v, std::string* error);
@@ -157,30 +165,30 @@ struct ChunkInfo {
   std::uint32_t crc32 = 0;   // declared payload CRC
 };
 
-// Opens a container, validates the header, and scans the chunk sequence
-// into a table. Payloads are only read (and CRC-checked) on demand.
+// A read-only window onto one chunk payload inside a Reader's buffer. It
+// stays valid while that Reader lives and is not re-opened.
+using ChunkView = std::span<const std::uint8_t>;
+
+// Reads a container into memory, validates the header, and scans the chunk
+// sequence into a table. Payload CRCs are checked on each ReadChunk.
 class Reader {
  public:
-  Reader() = default;
-  ~Reader();
-  Reader(const Reader&) = delete;
-  Reader& operator=(const Reader&) = delete;
-
   // `expected_kind` 0 accepts any kind (index-info style inspection).
   bool Open(const std::string& path, std::uint32_t expected_kind,
             std::string* error);
 
+  const std::string& path() const { return path_; }
   std::uint32_t kind() const { return kind_; }
   std::uint32_t version() const { return version_; }
   const std::vector<ChunkInfo>& chunks() const { return chunks_; }
 
-  // Reads chunk `index`'s payload and verifies its CRC32.
-  bool ReadChunk(std::size_t index, std::vector<std::uint8_t>* payload,
+  // Points `payload` at chunk `index`'s bytes after verifying its CRC32.
+  bool ReadChunk(std::size_t index, ChunkView* payload,
                  std::string* error) const;
 
  private:
-  struct Impl;
-  Impl* impl_ = nullptr;
+  std::string path_;
+  std::unique_ptr<std::uint8_t[]> bytes_;  // the whole file; null until Open
   std::uint32_t kind_ = 0;
   std::uint32_t version_ = 0;
   std::vector<ChunkInfo> chunks_;

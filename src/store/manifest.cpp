@@ -76,11 +76,17 @@ bool SaveManifest(const ShardManifest& manifest, const std::string& path,
 bool LoadManifest(ShardManifest* manifest, const std::string& path,
                   std::string* error) {
   Reader reader;
-  if (!reader.Open(path, kKindManifest, error)) return false;
+  return reader.Open(path, kKindManifest, error) &&
+         LoadManifest(manifest, reader, error);
+}
+
+bool LoadManifest(ShardManifest* manifest, const Reader& reader,
+                  std::string* error) {
+  const std::string& path = reader.path();
   ShardManifest loaded;
   std::uint64_t declared_shards = 0;
   bool saw_meta = false;
-  std::vector<std::uint8_t> payload;
+  ChunkView payload;
   for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
     const ChunkInfo& info = reader.chunks()[i];
     if (info.tag != kTagManifestMeta && info.tag != kTagManifestShard) {

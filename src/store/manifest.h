@@ -62,8 +62,14 @@ struct ShardManifest {
 bool SaveManifest(const ShardManifest& manifest, const std::string& path,
                   std::string* error);
 
+class Reader;
+
 // Loads and validates a manifest; `*manifest` is untouched on failure.
 bool LoadManifest(ShardManifest* manifest, const std::string& path,
+                  std::string* error);
+// The same, from a container already open in `reader` (its kind is the
+// caller's to check).
+bool LoadManifest(ShardManifest* manifest, const Reader& reader,
                   std::string* error);
 
 // Directory part of `path` ("." when it has none). Shard files are stored

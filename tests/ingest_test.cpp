@@ -38,6 +38,7 @@
 #include "ingest/ingest.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "store/container.h"
 #include "store/manifest.h"
 #include "util/failpoint.h"
 
@@ -788,6 +789,88 @@ TEST_F(IngestTest, ServeReloadPokeMakesNewShardsQueryable) {
       << error;
   EXPECT_EQ(static_cast<int>(hits.size()),
             first_entries + more.functions_indexed);
+
+  client.Close();
+  server.RequestStop();
+  runner.join();
+}
+
+// Every reload re-reads and CRC-checks every shard the manifest names, the
+// already-served ones included: a flipped byte in the first shard fails the
+// reload, and both the daemon and a direct OpenSharded keep the index they
+// had.
+TEST_F(IngestTest, ReloadReverifiesShardsAlreadyServed) {
+  core::AsteriaModel model(SmallModelConfig());
+  const auto corpus = MakeCorpus(3, 24);
+  const auto paths = PackImages(corpus, TempPath("reverify"), 3);
+  const std::string dir = FreshDir("reverify_idx");
+  const std::string socket = TempPath("reverify.sock");
+  std::string error;
+
+  ingest::IngestConfig config = MakeConfig(dir);
+  config.serve_socket = socket;
+  ingest::IngestService service(model, config);
+  ASSERT_TRUE(service.Open(&error)) << error;
+  ingest::IngestStats stats;
+  ASSERT_TRUE(service.IngestFile(paths[0], &stats, &error)) << error;
+
+  serve::ServerConfig server_config;
+  server_config.socket_path = socket;
+  server_config.index_path = ManifestPath(dir);
+  serve::Server server(model, server_config);
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread runner([&server] { server.Run(); });
+  // Images 2 and 3 arrive while the daemon serves; each publish pokes a
+  // reload.
+  ASSERT_TRUE(service.IngestFile(paths[1], &stats, &error)) << error;
+  ASSERT_TRUE(service.IngestFile(paths[2], &stats, &error)) << error;
+  ASSERT_EQ(service.manifest().shards.size(), 3u);
+
+  core::SearchIndex before(model);
+  ASSERT_TRUE(before.OpenSharded(ManifestPath(dir), &error)) << error;
+  ASSERT_EQ(before.size(), stats.functions_indexed);
+  const auto queries = ReferenceFeatures(paths, 4, 5);
+  ASSERT_GE(queries.size(), 3u);
+
+  serve::Client client;
+  ASSERT_TRUE(client.Connect(socket, &error, 30)) << error;
+  std::vector<core::SearchHit> hits;
+  ASSERT_TRUE(client.TopK(queries[0], 5, &hits, &error)) << error;
+  ExpectSameHits(hits, before.TopK(queries[0], 5));
+
+  // Flip one payload byte of an entry in the first shard.
+  const std::string first_shard =
+      dir + "/" + service.manifest().shards.front().file;
+  std::uint64_t payload_offset = 0;
+  {
+    store::Reader reader;
+    ASSERT_TRUE(reader.Open(first_shard, store::kKindIndex, &error)) << error;
+    ASSERT_GE(reader.chunks().size(), 2u);
+    payload_offset = reader.chunks()[1].offset;
+  }
+  std::string bytes = ReadFileBytes(first_shard);
+  bytes[payload_offset] = static_cast<char>(bytes[payload_offset] ^ 0x01);
+  WriteBlob(first_shard, std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+
+  EXPECT_FALSE(client.Reload(&error));
+  EXPECT_NE(error.find("CRC32 mismatch"), std::string::npos) << error;
+  for (std::size_t q = 0; q < 3; ++q) {
+    ASSERT_TRUE(client.TopK(queries[q], 5, &hits, &error)) << error;
+    ExpectSameHits(hits, before.TopK(queries[q], 5));
+  }
+
+  // A direct OpenSharded over the non-empty pre-corruption index fails the
+  // same way and leaves it as it was.
+  std::vector<nn::Matrix> encodings;
+  for (int i = 0; i < before.size(); ++i) encodings.push_back(before.encoding(i));
+  const auto want = before.TopK(queries[1], 5);
+  EXPECT_FALSE(before.OpenSharded(ManifestPath(dir), &error));
+  EXPECT_NE(error.find("CRC32 mismatch"), std::string::npos) << error;
+  ASSERT_EQ(before.size(), static_cast<int>(encodings.size()));
+  for (int i = 0; i < before.size(); ++i) {
+    ExpectSameEncoding(before.encoding(i), encodings[static_cast<std::size_t>(i)]);
+  }
+  ExpectSameHits(before.TopK(queries[1], 5), want);
 
   client.Close();
   server.RequestStop();

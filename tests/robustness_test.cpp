@@ -35,6 +35,7 @@
 #include "nn/parameter.h"
 #include "store/checkpoint.h"
 #include "store/container.h"
+#include "store/manifest.h"
 #include "util/failpoint.h"
 #include "util/pipeline_report.h"
 #include "util/rng.h"
@@ -236,9 +237,116 @@ TEST_F(RobustnessTest, ReaderFailpointsFailCleanly) {
   Arm("store.read=always");
   store::Reader reader2;
   ASSERT_TRUE(reader2.Open(path, store::kKindModel, &error)) << error;
-  std::vector<std::uint8_t> payload;
+  store::ChunkView payload;
   EXPECT_FALSE(reader2.ReadChunk(0, &payload, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// Everything a snapshot load could change: names, callee counts,
+// encodings (bitwise) and a TopK answer.
+void ExpectSameIndex(const core::SearchIndex& got,
+                     const core::SearchIndex& want,
+                     const core::FunctionFeature& query,
+                     const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (int i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.name(i), want.name(i)) << label;
+    EXPECT_EQ(got.callee_count(i), want.callee_count(i)) << label;
+    const nn::Matrix a = got.encoding(i);
+    const nn::Matrix b = want.encoding(i);
+    ASSERT_EQ(a.size(), b.size()) << label;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << label << " entry " << i;
+  }
+  const auto got_hits = got.TopK(query, 5);
+  const auto want_hits = want.TopK(query, 5);
+  ASSERT_EQ(got_hits.size(), want_hits.size()) << label;
+  for (std::size_t r = 0; r < got_hits.size(); ++r) {
+    EXPECT_EQ(got_hits[r].index, want_hits[r].index) << label;
+    EXPECT_EQ(got_hits[r].score, want_hits[r].score) << label;
+  }
+}
+
+std::size_t ChunkCount(const std::string& path) {
+  store::Reader reader;
+  std::string error;
+  EXPECT_TRUE(reader.Open(path, 0, &error)) << error;
+  return reader.chunks().size();
+}
+
+// The container is read whole in Reader::Open and each payload's CRC is
+// checked when its view is handed out. store.read_open and store.read must
+// still fail Load and OpenSharded cleanly wherever they fire — first hit or
+// a middle shard — with the index untouched.
+TEST_F(RobustnessTest, SnapshotLoadFailpointsLeaveTheIndexUntouched) {
+  const core::AsteriaModel model(SmallModelConfig());
+  const auto features = SyntheticFeatures(9, 61);
+  const std::string mono_path = TempPath("fp_parity_mono.idx");
+  const std::string manifest_path = TempPath("fp_parity.mani");
+  std::string error;
+  {
+    core::SearchIndex mono(model);
+    mono.AddAll(features);
+    ASSERT_TRUE(mono.Save(mono_path, &error)) << error;
+    store::ShardManifest manifest;
+    manifest.model_fingerprint = model.WeightsFingerprint();
+    for (int s = 0; s < 3; ++s) {
+      core::SearchIndex shard(model);
+      shard.AddAll(std::vector<core::FunctionFeature>(
+          features.begin() + 3 * s, features.begin() + 3 * s + 3));
+      store::ShardRecord record;
+      record.file = "fp_parity_shard" + std::to_string(s) + ".idx";
+      record.entries = 3;
+      ASSERT_TRUE(shard.Save(TempPath(record.file), &error)) << error;
+      manifest.shards.push_back(record);
+    }
+    ASSERT_TRUE(store::SaveManifest(manifest, manifest_path, &error))
+        << error;
+  }
+  // OpenSharded opens the manifest, then shard 0, 1, 2; it reads every
+  // manifest chunk, then every chunk of each shard in turn.
+  const std::size_t mid_shard_read =
+      ChunkCount(manifest_path) + ChunkCount(TempPath("fp_parity_shard0.idx")) +
+      2;
+  struct Case {
+    std::string spec;
+    bool sharded;
+    std::string expect;
+  };
+  const std::vector<Case> cases = {
+      {"store.read_open=always", true, "fp_parity.mani: cannot open"},
+      {"store.read_open=hit:3", true, "fp_parity_shard1.idx: cannot open"},
+      {"store.read=always", true, "chunk payload read failed"},
+      {"store.read=hit:" + std::to_string(mid_shard_read), true,
+       "fp_parity_shard1.idx (offset"},
+      {"store.read_open=always", false, "fp_parity_mono.idx: cannot open"},
+      {"store.read=always", false, "chunk payload read failed"},
+      {"store.read=hit:3", false, "fp_parity_mono.idx (offset"},
+  };
+  const auto other = SyntheticFeatures(4, 62);
+  core::SearchIndex reference(model);
+  reference.AddAll(other);
+  for (const Case& c : cases) {
+    const std::string label = c.spec + (c.sharded ? " sharded" : " mono");
+    core::SearchIndex target(model);
+    target.AddAll(other);
+    util::ClearFailpoints();
+    Arm(c.spec);
+    error.clear();
+    EXPECT_FALSE(c.sharded ? target.OpenSharded(manifest_path, &error)
+                           : target.Load(mono_path, &error))
+        << label;
+    EXPECT_NE(error.find(c.expect), std::string::npos) << label << ": " << error;
+    util::ClearFailpoints();
+    ExpectSameIndex(target, reference, features[0], label);
+  }
+
+  // Disarmed, both loads succeed and agree with each other.
+  core::SearchIndex mono(model);
+  core::SearchIndex sharded(model);
+  ASSERT_TRUE(mono.Load(mono_path, &error)) << error;
+  ASSERT_TRUE(sharded.OpenSharded(manifest_path, &error)) << error;
+  ExpectSameIndex(sharded, mono, features[0], "disarmed");
 }
 
 TEST_F(RobustnessTest, CheckpointSaveFailuresNeverClobberPrevious) {

@@ -19,6 +19,7 @@
 #include "nn/parameter.h"
 #include "store/checkpoint.h"
 #include "store/container.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace asteria {
@@ -52,6 +53,47 @@ TEST(Crc32, MatchesKnownVectors) {
   EXPECT_EQ(store::Crc32("6789", 4, half), 0xCBF43926u);
 }
 
+// The textbook one-byte-at-a-time CRC-32, kept here as the oracle for the
+// word-at-a-time implementation.
+std::uint32_t BytewiseCrc32(const std::uint8_t* data, std::size_t size,
+                            std::uint32_t seed = 0) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, EqualsBytewiseReferenceAtEveryLengthOffsetAndSplit) {
+  // Every length through several 8-byte words plus tails, from every start
+  // alignment, and chained through `seed` at every split point.
+  constexpr std::size_t kMaxLength = 300;
+  std::vector<std::uint8_t> buffer(kMaxLength + 8);
+  util::Rng rng(42);
+  for (std::uint8_t& byte : buffer) {
+    byte = static_cast<std::uint8_t>(rng.NextBounded(256));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* data = buffer.data() + offset;
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      const std::uint32_t want = BytewiseCrc32(data, length);
+      ASSERT_EQ(util::Crc32(data, length), want)
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(store::Crc32(data, length), want)
+          << "offset " << offset << " length " << length;
+      for (std::size_t split = 0; split <= length; ++split) {
+        const std::uint32_t head = util::Crc32(data, split);
+        ASSERT_EQ(util::Crc32(data + split, length - split, head), want)
+            << "offset " << offset << " length " << length << " split "
+            << split;
+      }
+    }
+  }
+}
+
 TEST(Container, RoundTripsScalarsStringsAndArrays) {
   const std::string path = TempPath("container_roundtrip.bin");
   const std::uint32_t kTag = store::FourCc('T', 'E', 'S', 'T');
@@ -83,7 +125,7 @@ TEST(Container, RoundTripsScalarsStringsAndArrays) {
   ASSERT_EQ(reader.chunks().size(), 1u);
   EXPECT_EQ(reader.chunks()[0].tag, kTag);
 
-  std::vector<std::uint8_t> payload;
+  store::ChunkView payload;
   ASSERT_TRUE(reader.ReadChunk(0, &payload, &error)) << error;
   store::ChunkParser parser(payload);
   std::uint8_t u8 = 0;
@@ -180,7 +222,7 @@ TEST(Container, BitFlipFailsCrcCheck) {
   std::string error;
   ASSERT_TRUE(reader.Open(path, store::kKindModel, &error)) << error;
   // ...but handing out the payload fails the CRC, loudly.
-  std::vector<std::uint8_t> payload;
+  store::ChunkView payload;
   EXPECT_FALSE(reader.ReadChunk(0, &payload, &error));
   EXPECT_NE(error.find("CRC32 mismatch"), std::string::npos) << error;
 }
@@ -238,7 +280,7 @@ TEST(Container, AppendExtendsChunkSequence) {
   ASSERT_TRUE(reader.Open(path, store::kKindIndex, &error)) << error;
   ASSERT_EQ(reader.chunks().size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    std::vector<std::uint8_t> payload;
+    store::ChunkView payload;
     ASSERT_TRUE(reader.ReadChunk(i, &payload, &error)) << error;
     store::ChunkParser parser(payload);
     std::uint32_t value = 0;
@@ -554,6 +596,52 @@ TEST(IndexSnapshot, TruncationRejectedCleanly) {
   core::SearchIndex loaded(model);
   EXPECT_FALSE(loaded.Load(path, &error));
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  EXPECT_EQ(loaded.size(), 0);
+}
+
+TEST(IndexSnapshot, HostileShapeFieldsFailWithShapeError) {
+  // rows = cols = 2^31: rows * cols * 8 wraps u64 to 0, so a size check
+  // that multiplied before the shape check would pass. The shape check
+  // runs first and names the bad shape.
+  const std::string path = TempPath("index_hostile_shape.snapshot");
+  core::AsteriaModel model(SmallModelConfig());
+  core::SearchIndex index(model);
+  index.AddAll(SyntheticFeatures(1, 3));
+  std::string error;
+  ASSERT_TRUE(index.Save(path, &error)) << error;
+
+  store::ChunkBuilder meta;
+  std::uint32_t meta_tag = 0, entry_tag = 0;
+  {
+    store::Reader reader;
+    ASSERT_TRUE(reader.Open(path, store::kKindIndex, &error)) << error;
+    ASSERT_EQ(reader.chunks().size(), 2u);
+    store::ChunkView payload;
+    ASSERT_TRUE(reader.ReadChunk(0, &payload, &error)) << error;
+    meta.PutBytes(payload.data(), payload.size());
+    meta_tag = reader.chunks()[0].tag;
+    entry_tag = reader.chunks()[1].tag;
+  }
+  store::ChunkBuilder entry;
+  entry.PutString("hostile");
+  entry.PutI32(0);
+  entry.PutU32(0x80000000u);  // rows
+  entry.PutU32(0x80000000u);  // cols
+  const double column[8] = {};
+  entry.PutF64Array(column, 8);
+  {
+    store::Writer writer;
+    ASSERT_TRUE(writer.Open(path, store::kKindIndex, &error)) << error;
+    ASSERT_TRUE(writer.WriteChunk(meta_tag, meta, &error)) << error;
+    ASSERT_TRUE(writer.WriteChunk(entry_tag, entry, &error)) << error;
+    ASSERT_TRUE(writer.Finish(&error)) << error;
+  }
+
+  core::SearchIndex loaded(model);
+  EXPECT_FALSE(loaded.Load(path, &error));
+  EXPECT_NE(error.find("encoding shape 2147483648x2147483648"),
+            std::string::npos)
+      << error;
   EXPECT_EQ(loaded.size(), 0);
 }
 

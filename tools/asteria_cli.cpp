@@ -547,7 +547,7 @@ int CmdIndexInfo(int argc, char** argv) {
               reader.chunks().size());
   util::TextTable table({"chunk", "tag", "payload bytes", "crc32"});
   std::size_t verified = 0;
-  std::vector<std::uint8_t> payload;
+  store::ChunkView payload;
   for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
     const store::ChunkInfo& info = reader.chunks()[i];
     char crc[16];
