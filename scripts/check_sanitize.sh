@@ -4,8 +4,9 @@
 # paths. The determinism tests assert parallel == serial bitwise; running
 # them under TSan additionally proves the parallel sections are data-race
 # free. robustness_test's corruption sweep (byte flips and truncations of
-# every container kind) runs here under ASan/UBSan so "fails cleanly" also
-# means no out-of-bounds read on adversarial inputs (docs/ROBUSTNESS.md).
+# every container kind) runs here under ASan (the `address` run; UBSan is
+# not part of this matrix) so "fails cleanly" also means no out-of-bounds
+# read on adversarial inputs (docs/ROBUSTNESS.md).
 # metrics_test hammers the striped counters/histograms and trace spans from
 # ParallelFor workers while snapshots race the writers (docs/OBSERVABILITY.md).
 # serve_test runs the asteria-serve daemon in-process — hostile-frame sweep,

@@ -3,7 +3,7 @@
 # Three halves:
 #
 #   1. The tracing test matrix — request-log ring (seqlock, wrap, concurrent
-#      appenders), v1/v2 frame compat, trace-id echo, record completeness
+#      appenders), v1/v2 frame rejection, trace-id echo, record completeness
 #      under shed/deadline/cancel at workers 1/2/8, kStats, and the
 #      slow-query capture — under BOTH TSan and ASan: the wait-free Append
 #      path and the telemetry sampler thread must be provably race-free.

@@ -161,11 +161,11 @@ Client::ExchangeResult Client::ExchangeOnce(
   // allows it).
   for (;;) {
     FrameType reply_type = FrameType::kError;
-    std::uint64_t reply_deadline_ms = 0;
     std::uint64_t reply_trace_id = 0;
     const ReadStatus status =
-        ReadFrame(fd_, &reply_type, reply_payload, error, &reply_deadline_ms,
-                  /*io_timeout_ms=*/0, &reply_trace_id);
+        ReadFrame(fd_, &reply_type, reply_payload, error,
+                  /*deadline_ms=*/nullptr, /*io_timeout_ms=*/0,
+                  &reply_trace_id);
     if (status == ReadStatus::kClosed) {
       *error = "daemon closed the connection before replying";
       cut_record(util::RequestOutcome::kError);
@@ -194,9 +194,9 @@ Client::ExchangeResult Client::ExchangeOnce(
       return ExchangeResult::kFailed;
     }
     if (reply_id != id) continue;
-    // A v3 daemon echoes the request's trace id on the reply; an echo that
+    // The daemon echoes the request's trace id on the reply; an echo that
     // disagrees means the frames are crossed — fail loudly rather than
-    // trust the payload. A zero echo is a pre-v3 daemon, which is fine.
+    // trust the payload. A zero echo is an untraced reply, which is fine.
     if (reply_trace_id != 0 && trace_id != 0 && reply_trace_id != trace_id) {
       *error = "reply trace id mismatch (frames crossed on the connection)";
       cut_record(util::RequestOutcome::kError);

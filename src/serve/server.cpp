@@ -110,18 +110,14 @@ struct Server::Connection {
     ::shutdown(fd, SHUT_RDWR);
   }
 
-  // `trace_id` echoes the request's v3 trace field on the reply frame so
-  // the client's record for this attempt joins the server's; `version` is
-  // the version of the request being answered, so a v1/v2 peer receives a
-  // header it can parse.
+  // `trace_id` echoes the request's trace field on the reply frame so the
+  // client's record for this attempt joins the server's.
   bool SendFrame(FrameType type, const store::ChunkBuilder& payload,
-                 std::uint64_t trace_id = 0,
-                 std::uint32_t version = kProtocolVersion) {
+                 std::uint64_t trace_id = 0) {
     std::lock_guard<std::mutex> lock(write_mu);
     if (closed.load(std::memory_order_acquire)) return false;
     std::string error;
-    if (!WriteFrame(fd, type, payload, &error, /*deadline_ms=*/0, trace_id,
-                    version)) {
+    if (!WriteFrame(fd, type, payload, &error, /*deadline_ms=*/0, trace_id)) {
       c_write_failures.Increment();
       closed.store(true, std::memory_order_release);
       ::shutdown(fd, SHUT_RDWR);
@@ -131,21 +127,19 @@ struct Server::Connection {
   }
 
   bool SendError(std::uint64_t id, const std::string& message,
-                 std::uint64_t trace_id = 0,
-                 std::uint32_t version = kProtocolVersion) {
+                 std::uint64_t trace_id = 0) {
     store::ChunkBuilder payload;
     PutError(id, message, &payload);
     c_errors.Increment();
-    return SendFrame(FrameType::kError, payload, trace_id, version);
+    return SendFrame(FrameType::kError, payload, trace_id);
   }
 
   // Id-only reply (kOk / kOverloaded / kDeadlineExceeded / kShuttingDown).
   bool SendControl(FrameType type, std::uint64_t id,
-                   std::uint64_t trace_id = 0,
-                   std::uint32_t version = kProtocolVersion) {
+                   std::uint64_t trace_id = 0) {
     store::ChunkBuilder payload;
     PutControl(id, &payload);
-    return SendFrame(type, payload, trace_id, version);
+    return SendFrame(type, payload, trace_id);
   }
 
   // Explicit kCancel bookkeeping. The list is bounded (oldest evicted):
@@ -188,8 +182,7 @@ struct Server::Request {
   std::uint64_t enqueue_epoch = 0;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  std::uint64_t trace_id = 0;      // from the v3 frame header (0 = untraced)
-  std::uint32_t wire_version = kProtocolVersion;  // reply in this version
+  std::uint64_t trace_id = 0;      // from the frame header (0 = untraced)
   std::int64_t enqueue_nanos = 0;  // TraceNowNanos() at admission
   // Reply-side observability, filled by DispatchBatch (in-struct rather
   // than in side arrays so the per-batch bookkeeping costs no allocations).
@@ -532,10 +525,9 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
     std::string error;
     std::uint64_t deadline_ms = 0;
     std::uint64_t trace_id = 0;
-    std::uint32_t frame_version = kProtocolVersion;
     const ReadStatus status =
         ReadFrame(conn->fd, &type, &payload, &error, &deadline_ms,
-                  config_.io_timeout_ms, &trace_id, &frame_version);
+                  config_.io_timeout_ms, &trace_id);
     if (status == ReadStatus::kClosed) {
       disconnected = true;
       break;
@@ -551,8 +543,7 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
       disconnected = true;
       break;
     }
-    if (!HandleFrame(conn, type, payload, deadline_ms, trace_id,
-                     frame_version)) {
+    if (!HandleFrame(conn, type, payload, deadline_ms, trace_id)) {
       break;
     }
   }
@@ -576,8 +567,7 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
 bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                          FrameType type,
                          const std::vector<std::uint8_t>& payload,
-                         std::uint64_t deadline_ms, std::uint64_t trace_id,
-                         std::uint32_t frame_version) {
+                         std::uint64_t deadline_ms, std::uint64_t trace_id) {
   std::string error;
   std::uint64_t id = 0;
   switch (type) {
@@ -587,7 +577,6 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       request.conn = conn;
       request.type = type;
       request.trace_id = trace_id;
-      request.wire_version = frame_version;
       // A rejected query still cuts a wide-event record: shed and malformed
       // requests are exactly the ones a latency investigation needs to see.
       // The name lives outside `request` because a failed TryPush leaves
@@ -616,27 +605,25 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       if (!query_parsed) {
         // Framing and CRC were fine, so the stream is still aligned: report
         // the malformed payload and keep the connection.
-        conn->SendError(request.id, error, trace_id, frame_version);
+        conn->SendError(request.id, error, trace_id);
         cut_admission_record(util::RequestOutcome::kError, 0);
         return true;
       }
       if (request.query.tree.empty()) {
-        conn->SendError(request.id, "query AST is empty", trace_id,
-                        frame_version);
+        conn->SendError(request.id, "query AST is empty", trace_id);
         cut_admission_record(util::RequestOutcome::kError, 0);
         return true;
       }
       if (type == FrameType::kTopK && request.k < 1) {
         conn->SendError(request.id,
                         "k must be >= 1, got " + std::to_string(request.k),
-                        trace_id, frame_version);
+                        trace_id);
         cut_admission_record(util::RequestOutcome::kError, 0);
         return true;
       }
       if (type == FrameType::kAboveThreshold &&
           !std::isfinite(request.threshold)) {
-        conn->SendError(request.id, "threshold must be finite", trace_id,
-                        frame_version);
+        conn->SendError(request.id, "threshold must be finite", trace_id);
         cut_admission_record(util::RequestOutcome::kError, 0);
         return true;
       }
@@ -661,8 +648,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       if (!queue_->TryPush(std::move(request), high_water)) {
         if (queue_->closed()) {
           util::Timer reply_timer;
-          conn->SendControl(FrameType::kShuttingDown, request_id, trace_id,
-                            frame_version);
+          conn->SendControl(FrameType::kShuttingDown, request_id, trace_id);
           cut_admission_record(
               util::RequestOutcome::kShuttingDown,
               static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
@@ -670,8 +656,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
         }
         c_shed.Increment();
         util::Timer reply_timer;
-        conn->SendControl(FrameType::kOverloaded, request_id, trace_id,
-                          frame_version);
+        conn->SendControl(FrameType::kOverloaded, request_id, trace_id);
         cut_admission_record(
             util::RequestOutcome::kShed,
             static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
@@ -680,7 +665,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     }
     case FrameType::kPing: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.ping", util::RequestOutcome::kError,
                          0);
         return true;
@@ -689,14 +674,14 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutControl(id, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kPong, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kPong, reply, trace_id);
       CutControlRecord(trace_id, "serve.ping", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     case FrameType::kReload: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.reload",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -705,7 +690,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       // Reload on the reader thread: only this connection waits for the
       // load; workers keep answering against the pinned old snapshot.
       if (!Reload(&error)) {
-        conn->SendError(id, error, trace_id, frame_version);
+        conn->SendError(id, error, trace_id);
         CutControlRecord(trace_id, "serve.reload",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -713,14 +698,14 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutControl(id, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kOk, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kOk, reply, trace_id);
       CutControlRecord(trace_id, "serve.reload", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     case FrameType::kShutdown: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.shutdown",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -729,7 +714,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutControl(id, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kOk, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kOk, reply, trace_id);
       CutControlRecord(trace_id, "serve.shutdown", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       RequestStop();
@@ -737,7 +722,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     }
     case FrameType::kCancel: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.cancel",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -748,14 +733,14 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       // query was caught in time.
       conn->Cancel(id);
       util::Timer reply_timer;
-      conn->SendControl(FrameType::kOk, id, trace_id, frame_version);
+      conn->SendControl(FrameType::kOk, id, trace_id);
       CutControlRecord(trace_id, "serve.cancel", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     case FrameType::kHealth: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.health",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -773,14 +758,14 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutHealthInfo(id, info, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kHealthInfo, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kHealthInfo, reply, trace_id);
       CutControlRecord(trace_id, "serve.health", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     case FrameType::kStats: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.stats",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -804,7 +789,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutStatsInfo(id, info, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kStatsInfo, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kStatsInfo, reply, trace_id);
       CutControlRecord(trace_id, "serve.stats", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
@@ -812,7 +797,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     default:
       conn->SendError(0, "unexpected frame type " +
                              std::to_string(static_cast<std::uint32_t>(type)),
-                      trace_id, frame_version);
+                      trace_id);
       return true;
   }
 }
@@ -890,8 +875,7 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
     if (req.has_deadline && now >= req.deadline) {
       c_deadline_exceeded.Increment();
       util::Timer reply_timer;
-      req.conn->SendControl(FrameType::kDeadlineExceeded, req.id, req.trace_id,
-                            req.wire_version);
+      req.conn->SendControl(FrameType::kDeadlineExceeded, req.id, req.trace_id);
       cut_triage_record(req, util::RequestOutcome::kDeadlineExceeded,
                         static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       continue;
@@ -899,8 +883,7 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
     if (drain_expired) {
       c_drain_dropped.Increment();
       util::Timer reply_timer;
-      req.conn->SendControl(FrameType::kShuttingDown, req.id, req.trace_id,
-                            req.wire_version);
+      req.conn->SendControl(FrameType::kShuttingDown, req.id, req.trace_id);
       cut_triage_record(req, util::RequestOutcome::kShuttingDown,
                         static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       continue;
@@ -944,8 +927,7 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     const std::int64_t reply_start = util::TraceNowNanos();
-    req.replied = req.conn->SendFrame(FrameType::kHits, reply, req.trace_id,
-                                      req.wire_version);
+    req.replied = req.conn->SendFrame(FrameType::kHits, reply, req.trace_id);
     req.reply_nanos =
         static_cast<std::uint64_t>(util::TraceNowNanos() - reply_start);
     if (req.replied) c_replies.Increment();
@@ -975,8 +957,7 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     const std::int64_t reply_start = util::TraceNowNanos();
-    req.replied = req.conn->SendFrame(FrameType::kHits, reply, req.trace_id,
-                                      req.wire_version);
+    req.replied = req.conn->SendFrame(FrameType::kHits, reply, req.trace_id);
     req.reply_nanos =
         static_cast<std::uint64_t>(util::TraceNowNanos() - reply_start);
     if (req.replied) c_replies.Increment();

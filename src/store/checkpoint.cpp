@@ -65,22 +65,13 @@ bool SaveModelCheckpoint(const nn::ParameterStore& params,
 
 bool LoadModelCheckpoint(nn::ParameterStore* params, const std::string& path,
                          std::string* error) {
-  if (!IsContainerFile(path)) {
-    // Legacy "asteria-params v1" text-header format (or garbage — the
-    // legacy loader validates its own magic and reports failures).
-    if (!params->Load(path)) {
-      return Fail(path + ": not a container checkpoint and the legacy "
-                         "asteria-params v1 loader rejected it",
-                  error);
-    }
-    return true;
-  }
-
   std::string io_error;
   Reader reader;
   if (!reader.Open(path, kKindModel, &io_error)) return Fail(io_error, error);
 
   std::uint64_t declared_count = 0;
+  std::uint64_t declared_total = 0;
+  std::uint32_t declared_fingerprint = 0;
   bool saw_meta = false;
   // Staged values: nothing is committed to `params` until every parameter
   // has been matched and parsed.
@@ -95,12 +86,11 @@ bool LoadModelCheckpoint(nn::ParameterStore* params, const std::string& path,
     if (!reader.ReadChunk(i, &payload, &io_error)) return Fail(io_error, error);
     ChunkParser parser(payload);
     if (info.tag == kTagModelMeta) {
-      std::uint32_t schema = 0, fingerprint = 0;
-      std::uint64_t total_weights = 0;
+      std::uint32_t schema = 0;
       if (!parser.GetU32(&schema, &io_error) ||
           !parser.GetU64(&declared_count, &io_error) ||
-          !parser.GetU64(&total_weights, &io_error) ||
-          !parser.GetU32(&fingerprint, &io_error)) {
+          !parser.GetU64(&declared_total, &io_error) ||
+          !parser.GetU32(&declared_fingerprint, &io_error)) {
         return Fail(path + ": bad MMET chunk: " + io_error, error);
       }
       if (schema != kCheckpointVersion) {
@@ -166,6 +156,27 @@ bool LoadModelCheckpoint(nn::ParameterStore* params, const std::string& path,
     return Fail(path + ": checkpoint covers " + std::to_string(staged.size()) +
                     " parameters but this model has " +
                     std::to_string(params->parameters().size()),
+                error);
+  }
+  // MMET's check values cover the staged data in chunk order, the order
+  // SaveModelCheckpoint writes (and fingerprints) the parameters in.
+  std::uint64_t total = 0;
+  std::uint32_t fingerprint = 0;
+  for (const auto& [p, values] : staged) {
+    total += values.size();
+    fingerprint =
+        Crc32(values.data(), values.size() * sizeof(double), fingerprint);
+  }
+  if (total != declared_total) {
+    return Fail(path + ": MMET declares " + std::to_string(declared_total) +
+                    " weights but the PARM chunks hold " +
+                    std::to_string(total),
+                error);
+  }
+  if (fingerprint != declared_fingerprint) {
+    return Fail(path + ": weights fingerprint mismatch (MMET declares " +
+                    std::to_string(declared_fingerprint) + ", data gives " +
+                    std::to_string(fingerprint) + ")",
                 error);
   }
   for (auto& [p, values] : staged) {

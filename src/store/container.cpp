@@ -506,17 +506,6 @@ bool Reader::ReadChunk(std::size_t index, ChunkView* payload,
   return true;
 }
 
-bool IsContainerFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char magic[sizeof(kMagic)];
-  const bool matches =
-      std::fread(magic, 1, sizeof(magic), file) == sizeof(magic) &&
-      std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-  std::fclose(file);
-  return matches;
-}
-
 bool QuarantineFile(const std::string& path, std::string* quarantined_path) {
   const std::string target = path + ".corrupt";
   std::remove(target.c_str());  // only the latest quarantine is kept

@@ -194,11 +194,6 @@ class Reader {
   std::vector<ChunkInfo> chunks_;
 };
 
-// True if `path` starts with the container magic (used to dispatch between
-// the container checkpoint format and the legacy "asteria-params v1" text
-// format when loading model weights).
-bool IsContainerFile(const std::string& path);
-
 // Moves a corrupt artifact aside to "<path>.corrupt" (replacing any
 // previous quarantine) so cache loaders can rebuild from source without
 // re-reading — or silently deleting — the bad bytes. Returns true when the

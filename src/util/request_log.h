@@ -10,7 +10,7 @@
 // serve daemon appends one record per request (answered, shed, cancelled,
 // deadline-exceeded, or drained), serve::Client appends one per wire
 // attempt, and ingest appends one per pipeline op — the two sides join on
-// the trace id carried in the v3 ASRV frame (docs/SERVING.md).
+// the trace id carried in the ASRV frame header (docs/SERVING.md).
 //
 // Hot-path contract: Append is wait-free — one relaxed fetch_add to claim a
 // slot, then a seqlock-versioned field-by-field store (all fields atomic,

@@ -8,8 +8,8 @@
 //  2. Corruption tolerance: a byte-flipped or truncated artifact of any of
 //     the four kinds (MODL/INDX/CORP/FENC) either loads cleanly or fails
 //     cleanly with a descriptive error — it never crashes or commits
-//     partial state. The sweep runs under ASan/UBSan via
-//     scripts/check_sanitize.sh.
+//     partial state. The sweep runs under ASan via
+//     `scripts/check_sanitize.sh address`.
 //  3. Fault isolation: one poisoned item (corpus function, encoding,
 //     training pair) is skipped and counted in a PipelineReport; the batch
 //     survives and the degraded results stay deterministic.
@@ -57,6 +57,13 @@ void WriteAll(const std::string& path, const std::vector<std::uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+// True when `path` opens as a container of `kind` (0 = any kind).
+bool OpensAsContainer(const std::string& path, std::uint32_t kind = 0) {
+  store::Reader reader;
+  std::string error;
+  return reader.Open(path, kind, &error);
 }
 
 bool FileExists(const std::string& path) {
@@ -158,7 +165,7 @@ TEST_F(RobustnessTest, WriterOpenWriteRenameFailuresLeaveNoValidFile) {
     EXPECT_FALSE(ok) << point;
     EXPECT_FALSE(error.empty()) << point;
     // Neither the final path nor a stale temp may open as a container.
-    EXPECT_FALSE(store::IsContainerFile(path)) << point;
+    EXPECT_FALSE(OpensAsContainer(path)) << point;
     EXPECT_FALSE(FileExists(path)) << point;
   }
 }
@@ -389,31 +396,6 @@ TEST_F(RobustnessTest, CheckpointReadFailpointLeavesTargetUntouched) {
   EXPECT_EQ(store::WeightsFingerprint(loaded), before);
 }
 
-TEST_F(RobustnessTest, LegacyParamsFailpointsCoverAllIoPaths) {
-  const std::string path = TempPath("legacy_io_fail.params");
-  nn::ParameterStore params;
-  FillStore(&params, 11);
-  ASSERT_TRUE(params.Save(path));
-  const std::vector<std::uint8_t> before = ReadAll(path);
-
-  for (const char* spec : {"params.open=always", "params.write=always",
-                           "params.rename=always"}) {
-    util::ClearFailpoints();
-    Arm(spec);
-    EXPECT_FALSE(params.Save(path)) << spec;
-    EXPECT_EQ(ReadAll(path), before) << spec;
-    std::remove((path + ".tmp").c_str());
-  }
-
-  util::ClearFailpoints();
-  Arm("params.read=always");
-  nn::ParameterStore loaded;
-  FillStore(&loaded, 99);
-  const std::uint32_t fingerprint = store::WeightsFingerprint(loaded);
-  EXPECT_FALSE(loaded.Load(path));
-  EXPECT_EQ(store::WeightsFingerprint(loaded), fingerprint);
-}
-
 TEST_F(RobustnessTest, NanCheckpointRefusedOnLoad) {
   const std::string path = TempPath("ckpt_nan.bin");
   nn::ParameterStore poisoned;
@@ -608,7 +590,7 @@ TEST_F(RobustnessTest, CorruptCorpusCacheIsQuarantinedAndRebuilt) {
   std::remove((path + ".corrupt").c_str());
   const dataset::CorpusConfig config = TinyCorpusConfig();
   const dataset::Corpus cold = dataset::BuildOrLoadCorpus(config, path);
-  ASSERT_TRUE(store::IsContainerFile(path));
+  ASSERT_TRUE(OpensAsContainer(path, store::kKindCorpus));
 
   // Corrupt the cache in place.
   std::vector<std::uint8_t> bytes = ReadAll(path);
@@ -619,7 +601,7 @@ TEST_F(RobustnessTest, CorruptCorpusCacheIsQuarantinedAndRebuilt) {
   // The bad cache was moved aside, a fresh one written, and the rebuilt
   // corpus matches the cold build exactly.
   EXPECT_TRUE(FileExists(path + ".corrupt"));
-  EXPECT_TRUE(store::IsContainerFile(path));
+  EXPECT_TRUE(OpensAsContainer(path, store::kKindCorpus));
   ASSERT_EQ(rebuilt.functions.size(), cold.functions.size());
   for (std::size_t i = 0; i < cold.functions.size(); ++i) {
     EXPECT_EQ(rebuilt.functions[i].function, cold.functions[i].function);

@@ -228,9 +228,8 @@ void PutLe64(std::uint64_t v, std::vector<std::uint8_t>* out) {
 
 // The byte-exact frame layout from docs/SERVING.md, hard-coded on purpose:
 // this is the conformance side of the spec, independent of WriteFrame. A
-// v2 header carries the trailing deadline field, a v3 header deadline +
-// trace id; any other version value gets the bare 24-byte prefix (v1's
-// layout, also what makes bad-version frames byte-plausible).
+// v3 header carries deadline + trace id after the 24-byte prefix; any other
+// version value gets the bare prefix (a retired v1 frame's layout).
 std::vector<std::uint8_t> BuildFrameBytes(std::uint32_t magic,
                                           std::uint32_t version,
                                           std::uint32_t type,
@@ -243,11 +242,10 @@ std::vector<std::uint8_t> BuildFrameBytes(std::uint32_t magic,
   PutLe32(type, &frame);
   PutLe32(store::Crc32(payload.bytes().data(), payload.size()), &frame);
   PutLe64(payload.size(), &frame);
-  if (version == serve::kProtocolVersion ||
-      version == serve::kProtocolVersionV2) {
+  if (version == serve::kProtocolVersion) {
     PutLe64(deadline_ms, &frame);
+    PutLe64(trace_id, &frame);
   }
-  if (version == serve::kProtocolVersion) PutLe64(trace_id, &frame);
   frame.insert(frame.end(), payload.bytes().begin(), payload.bytes().end());
   return frame;
 }
@@ -681,11 +679,13 @@ TEST_F(HostileTest, MalformedHeadersAreRejectedCleanly) {
 TEST_F(HostileTest, TruncationsAreRejectedCleanly) {
   StartDaemon("trunc");
   const std::vector<std::uint8_t> frame = BuildTopKFrameBytes(queries_[0], 3);
-  // Every prefix class: mid-header, exact header (payload missing), and
-  // mid-payload. AwaitOutcome half-closes, so the server sees EOF where the
-  // declared bytes should be.
+  // Every prefix class: inside the 24-byte prefix, mid-header right after
+  // the prefix, exact 40-byte header (payload missing), and mid-payload.
+  // AwaitOutcome half-closes, so the server sees EOF where the declared
+  // bytes should be.
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{1}, std::size_t{10},
+        std::size_t{serve::kFramePrefixSize},
         std::size_t{serve::kFrameHeaderSize},
         std::size_t{serve::kFrameHeaderSize + 5}, frame.size() - 1}) {
     ASSERT_LT(keep, frame.size());
@@ -1465,7 +1465,7 @@ void AwaitOpRecordCount(const char* op, int want) {
   FAIL() << op << " never reached " << want << " records";
 }
 
-TEST_F(ServeTest, OlderFrameVersionsStillAccepted) {
+TEST_F(ServeTest, OlderFrameVersionsAreRejected) {
   const core::AsteriaModel model(SmallModelConfig());
   const auto features = SyntheticFeatures(10, 241);
   const std::string index_path = TempPath("serve_ver.idx");
@@ -1474,37 +1474,94 @@ TEST_F(ServeTest, OlderFrameVersionsStillAccepted) {
   Harness harness(model, index_path, socket_path, /*workers=*/1);
   ASSERT_TRUE(harness.started());
 
-  // A v1 frame is the bare 24-byte header, a v2 frame adds the deadline —
-  // both predate trace ids and both must still answer. The reply echoes the
-  // *request's* version (an old client would reject a v3 reply header as an
-  // unsupported version), so the trace field stays 0 (nothing to carry it).
+  // A v1 ping is the bare 24-byte prefix, a v2 ping adds an 8-byte deadline
+  // (32 bytes). The daemon sees the version in the prefix and answers one
+  // kError naming it, then closes — it never waits for header bytes an
+  // older peer will not send.
   std::string error;
-  for (const std::uint32_t version :
-       {serve::kProtocolVersionV1, serve::kProtocolVersionV2}) {
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::uint64_t bad_frames_before =
+        CounterValueOf(util::SnapshotMetrics(), "serve.bad_frames");
     const int fd = ConnectRaw(socket_path);
-    ASSERT_GE(fd, 0) << "version=" << version;
+    ASSERT_GE(fd, 0);
     store::ChunkBuilder payload;
     serve::PutControl(/*id=*/5, &payload);
-    ASSERT_TRUE(SendAll(
-        fd, BuildFrameBytes(serve::kServeMagic, version,
-                            static_cast<std::uint32_t>(serve::FrameType::kPing),
-                            payload)));
-    serve::FrameType type = serve::FrameType::kError;
+    std::vector<std::uint8_t> frame = BuildFrameBytes(
+        serve::kServeMagic, version,
+        static_cast<std::uint32_t>(serve::FrameType::kPing), payload);
+    if (version == 2) {
+      frame.insert(frame.begin() + serve::kFramePrefixSize, 8, 0);
+    }
+    ASSERT_EQ(frame.size(), (version == 1 ? 24u : 32u) + payload.size());
+    ASSERT_TRUE(SendAll(fd, frame));
+    serve::FrameType type = serve::FrameType::kPong;
     std::vector<std::uint8_t> reply;
-    std::uint64_t reply_trace = 99;
-    std::uint32_t reply_version = 0;
-    ASSERT_EQ(serve::ReadFrame(fd, &type, &reply, &error,
-                               /*deadline_ms=*/nullptr, /*io_timeout_ms=*/0,
-                               &reply_trace, &reply_version),
+    ASSERT_EQ(serve::ReadFrame(fd, &type, &reply, &error),
               serve::ReadStatus::kFrame)
-        << "version=" << version << ": " << error;
-    EXPECT_EQ(type, serve::FrameType::kPong) << "version=" << version;
-    EXPECT_EQ(reply_version, version) << "reply must echo request version";
-    EXPECT_EQ(reply_trace, 0u) << "version=" << version;
-    std::uint64_t id = 0;
-    ASSERT_TRUE(serve::GetControl(reply, &id, &error)) << error;
-    EXPECT_EQ(id, 5u);
+        << error;
+    ASSERT_EQ(type, serve::FrameType::kError);
+    std::uint64_t id = 99;
+    std::string message;
+    ASSERT_TRUE(serve::GetError(reply, &id, &message, &error)) << error;
+    EXPECT_EQ(id, 0u);
+    EXPECT_NE(message.find("unsupported protocol version " +
+                           std::to_string(version)),
+              std::string::npos)
+        << message;
+    // Exactly one reply, then the close: EOF, or a reset because the
+    // daemon left the rest of the old frame unread (never a recv timeout).
+    std::uint8_t byte = 0;
+    ssize_t n = 0;
+    do {
+      n = ::recv(fd, &byte, 1, 0);
+    } while (n < 0 && errno == EINTR);
+    EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET))
+        << "recv returned " << n << " (errno " << errno << ")";
     ::close(fd);
+    EXPECT_EQ(CounterValueOf(util::SnapshotMetrics(), "serve.bad_frames"),
+              bad_frames_before + 1);
+  }
+
+  // The daemon keeps serving v3 clients.
+  core::SearchIndex reference(model);
+  ASSERT_TRUE(reference.Load(index_path, &error)) << error;
+  serve::Client client;
+  ASSERT_TRUE(client.Connect(socket_path, &error)) << error;
+  const auto queries = SyntheticFeatures(1, 242);
+  std::vector<core::SearchHit> hits;
+  ASSERT_TRUE(client.TopK(queries[0], 3, &hits, &error)) << error;
+  ExpectSameHits(hits, reference.TopK(queries[0], 3));
+}
+
+// A kHealthInfo payload shorter than its layout is malformed, never
+// zero-filled.
+TEST_F(ServeTest, TruncatedHealthInfoPayloadsAreMalformed) {
+  serve::HealthInfo health;
+  health.index_size = 3;
+  health.draining = true;
+  health.deadline_exceeded = 4;
+  store::ChunkBuilder health_bytes;
+  serve::PutHealthInfo(/*id=*/9, health, &health_bytes);
+
+  std::string error;
+  std::uint64_t id = 0;
+  serve::HealthInfo health_out;
+  ASSERT_TRUE(
+      serve::GetHealthInfo(health_bytes.bytes(), &id, &health_out, &error))
+      << error;
+  EXPECT_EQ(id, 9u);
+  EXPECT_EQ(health_out.index_size, 3u);
+  EXPECT_TRUE(health_out.draining);
+  EXPECT_EQ(health_out.deadline_exceeded, 4u);
+
+  // Every proper prefix fails, including one that stops after `draining`,
+  // where the uptime and totals begin.
+  for (std::size_t keep = 0; keep < health_bytes.size(); ++keep) {
+    const std::vector<std::uint8_t> cut(health_bytes.bytes().begin(),
+                                        health_bytes.bytes().begin() + keep);
+    EXPECT_FALSE(serve::GetHealthInfo(cut, &id, &health_out, &error))
+        << "cut at " << keep;
   }
 }
 

@@ -1,8 +1,8 @@
 // Persistence-layer tests: the chunked container format, model
-// checkpoints (incl. the legacy "asteria-params v1" fixture), SearchIndex
-// snapshots, and corpus caches. The recurring theme is the error contract:
-// corruption, truncation, and mismatched artifacts must fail loudly with a
-// descriptive reason and never commit partial state.
+// checkpoints (incl. hand-built MODL files and a retired-format fixture),
+// SearchIndex snapshots, and corpus caches. The recurring theme is the
+// error contract: corruption, truncation, and mismatched artifacts must
+// fail loudly with a descriptive reason and never commit partial state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -116,7 +116,6 @@ TEST(Container, RoundTripsScalarsStringsAndArrays) {
     ASSERT_TRUE(writer.Finish(&error)) << error;
   }
 
-  ASSERT_TRUE(store::IsContainerFile(path));
   store::Reader reader;
   std::string error;
   ASSERT_TRUE(reader.Open(path, store::kKindModel, &error)) << error;
@@ -164,7 +163,6 @@ TEST(Container, RejectsBadMagic) {
   const std::string path = TempPath("container_bad_magic.bin");
   WriteAll(path, {'n', 'o', 't', 'a', 's', 't', 'o', 'r', 0, 0, 0, 0,
                   0, 0, 0, 0, 0, 0, 0, 0});
-  EXPECT_FALSE(store::IsContainerFile(path));
   store::Reader reader;
   std::string error;
   EXPECT_FALSE(reader.Open(path, store::kKindModel, &error));
@@ -362,80 +360,195 @@ TEST(Checkpoint, BitFlipRejected) {
   EXPECT_EQ(store::WeightsFingerprint(loaded), before);
 }
 
-// ---------------------------------------------------------------------------
-// Legacy "asteria-params v1" compatibility
-
-TEST(LegacyParams, SavedFileStillLoadsThroughCheckpointApi) {
-  const std::string path = TempPath("legacy_saved.params");
+// MMET's check values are verified, not just parsed: a checkpoint whose
+// MMET is rewritten (with a valid chunk CRC) to disagree with its PARM data
+// is refused and the store keeps its values.
+TEST(Checkpoint, RejectsMmetCheckValueMismatchWithoutMutating) {
+  const std::string saved_path = TempPath("checkpoint_mmet_source.bin");
   nn::ParameterStore saved;
   FillStore(&saved, 11);
-  ASSERT_TRUE(saved.Save(path));  // legacy writer
-  EXPECT_FALSE(store::IsContainerFile(path));
-
-  nn::ParameterStore loaded;
-  FillStore(&loaded, 99);
   std::string error;
-  ASSERT_TRUE(store::LoadModelCheckpoint(&loaded, path, &error)) << error;
-  EXPECT_TRUE(SameValues(saved, loaded));
-}
+  ASSERT_TRUE(store::SaveModelCheckpoint(saved, saved_path, &error)) << error;
 
-TEST(LegacyParams, HandCraftedV1FixtureLoads) {
-  // Byte-for-byte what the v1 codec emits: text header, then per parameter
-  // "name rows cols\n" + raw little-endian doubles + "\n". Pinning the
-  // format here keeps old weight files loadable forever.
-  const std::string path = TempPath("legacy_fixture.params");
-  const double values[4] = {0.5, -1.0, 2.0, -4.0};
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "asteria-params v1\n1\nw 2 2\n";
-    out.write(reinterpret_cast<const char*>(values), sizeof(values));
-    out << "\n";
+  // Copies the checkpoint chunk by chunk, passing MMET's fields through
+  // `edit` first.
+  const auto rewrite = [&](const std::string& path, const auto& edit) {
+    store::Reader reader;
+    ASSERT_TRUE(reader.Open(saved_path, store::kKindModel, &error)) << error;
+    store::Writer writer;
+    ASSERT_TRUE(writer.Open(path, store::kKindModel, &error)) << error;
+    for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
+      store::ChunkView payload;
+      ASSERT_TRUE(reader.ReadChunk(i, &payload, &error)) << error;
+      store::ChunkBuilder chunk;
+      if (reader.chunks()[i].tag == store::FourCc('M', 'M', 'E', 'T')) {
+        store::ChunkParser parser(payload);
+        std::uint32_t schema = 0, fingerprint = 0;
+        std::uint64_t count = 0, total = 0;
+        ASSERT_TRUE(parser.GetU32(&schema, &error) &&
+                    parser.GetU64(&count, &error) &&
+                    parser.GetU64(&total, &error) &&
+                    parser.GetU32(&fingerprint, &error))
+            << error;
+        edit(&total, &fingerprint);
+        chunk.PutU32(schema);
+        chunk.PutU64(count);
+        chunk.PutU64(total);
+        chunk.PutU32(fingerprint);
+      } else {
+        chunk.PutBytes(payload.data(), payload.size());
+      }
+      ASSERT_TRUE(writer.WriteChunk(reader.chunks()[i].tag, chunk, &error))
+          << error;
+    }
+    ASSERT_TRUE(writer.Finish(&error)) << error;
+  };
+
+  struct Case {
+    const char* label;
+    void (*edit)(std::uint64_t* total, std::uint32_t* fingerprint);
+    const char* want_error;  // nullptr: the copy must load
+  };
+  const Case cases[] = {
+      {"unchanged copy", [](std::uint64_t*, std::uint32_t*) {}, nullptr},
+      {"wrong fingerprint",
+       [](std::uint64_t*, std::uint32_t* fingerprint) { *fingerprint ^= 1; },
+       "fingerprint mismatch"},
+      {"wrong total", [](std::uint64_t* total, std::uint32_t*) { ++*total; },
+       "weights but the PARM chunks hold"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const std::string path = TempPath("checkpoint_mmet_rewritten.bin");
+    rewrite(path, c.edit);
+    nn::ParameterStore loaded;
+    FillStore(&loaded, 99);
+    const std::uint32_t before = store::WeightsFingerprint(loaded);
+    if (c.want_error == nullptr) {
+      ASSERT_TRUE(store::LoadModelCheckpoint(&loaded, path, &error)) << error;
+      EXPECT_TRUE(SameValues(saved, loaded));
+      continue;
+    }
+    EXPECT_FALSE(store::LoadModelCheckpoint(&loaded, path, &error));
+    EXPECT_NE(error.find(c.want_error), std::string::npos) << error;
+    EXPECT_EQ(store::WeightsFingerprint(loaded), before);
   }
-  nn::ParameterStore params;
-  params.Create("w", 2, 2);
-  ASSERT_TRUE(params.Load(path));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(params.parameters()[0]->value[static_cast<std::size_t>(i)],
-              values[i]);
+}
+
+// One parameter record of a hand-built checkpoint.
+struct HandParm {
+  std::string name;
+  std::uint32_t rows = 0;
+  std::uint32_t cols = 0;
+  std::vector<double> values;
+};
+
+// Writes a MODL checkpoint field by field from the FORMATS.md layout, not
+// through SaveModelCheckpoint: MMET is u32 schema, u64 parameter count,
+// u64 total weights, u32 fingerprint (CRC32 over the values in chunk
+// order); each PARM is a string name, u32 rows, u32 cols, f64 values.
+void WriteHandCheckpoint(const std::string& path, bool with_meta,
+                         std::uint32_t schema, std::uint64_t declared_count,
+                         const std::vector<HandParm>& parms) {
+  std::string error;
+  store::Writer writer;
+  ASSERT_TRUE(writer.Open(path, store::kKindModel, &error)) << error;
+  if (with_meta) {
+    std::uint64_t total = 0;
+    std::uint32_t fingerprint = 0;
+    for (const HandParm& parm : parms) {
+      total += parm.values.size();
+      fingerprint = store::Crc32(parm.values.data(),
+                                 parm.values.size() * sizeof(double),
+                                 fingerprint);
+    }
+    store::ChunkBuilder meta;
+    meta.PutU32(schema);
+    meta.PutU64(declared_count);
+    meta.PutU64(total);
+    meta.PutU32(fingerprint);
+    ASSERT_TRUE(
+        writer.WriteChunk(store::FourCc('M', 'M', 'E', 'T'), meta, &error))
+        << error;
   }
-}
-
-TEST(LegacyParams, RejectsTruncationWithoutMutating) {
-  const std::string path = TempPath("legacy_truncated.params");
-  nn::ParameterStore saved;
-  FillStore(&saved, 11);
-  ASSERT_TRUE(saved.Save(path));
-  std::vector<std::uint8_t> bytes = ReadAll(path);
-  bytes.resize(bytes.size() - 12);
-  WriteAll(path, bytes);
-
-  nn::ParameterStore loaded;
-  FillStore(&loaded, 99);
-  const std::uint32_t before = store::WeightsFingerprint(loaded);
-  EXPECT_FALSE(loaded.Load(path));
-  EXPECT_EQ(store::WeightsFingerprint(loaded), before);
-}
-
-TEST(LegacyParams, RejectsAbsurdDeclaredCount) {
-  const std::string path = TempPath("legacy_absurd_count.params");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "asteria-params v1\n999999999\n";
+  for (const HandParm& parm : parms) {
+    store::ChunkBuilder chunk;
+    chunk.PutString(parm.name);
+    chunk.PutU32(parm.rows);
+    chunk.PutU32(parm.cols);
+    chunk.PutF64Array(parm.values.data(), parm.values.size());
+    ASSERT_TRUE(
+        writer.WriteChunk(store::FourCc('P', 'A', 'R', 'M'), chunk, &error))
+        << error;
   }
-  nn::ParameterStore params;
-  params.Create("w", 2, 2);
-  EXPECT_FALSE(params.Load(path));
+  ASSERT_TRUE(writer.Finish(&error)) << error;
 }
 
-TEST(LegacyParams, RejectsCountMismatch) {
-  const std::string path = TempPath("legacy_count_mismatch.params");
-  nn::ParameterStore saved;
-  FillStore(&saved, 11);  // two parameters
-  ASSERT_TRUE(saved.Save(path));
-
-  nn::ParameterStore one;
-  one.Create("w_left", 3, 4);
-  EXPECT_FALSE(one.Load(path));
+// Pins MODL, the only weight format, from the byte layout up: the
+// well-formed file loads bit-exact, and every malformed variant — including
+// the retired "asteria-params v1" text format — is refused, naming the
+// file, without touching the store.
+TEST(Checkpoint, HandBuiltCheckpointsLoadOrFailWithoutMutating) {
+  const HandParm w{"w", 2, 2, {0.5, -1.0, 2.0, -4.0}};
+  const HandParm b{"b", 2, 1, {0.25, -0.125}};
+  const HandParm stray{"stray", 2, 1, {1.0, 2.0}};
+  // Byte for byte what the retired v1 writer emitted: a header line, then
+  // per parameter "name rows cols\n" + raw doubles + "\n".
+  std::string v1_fixture = "asteria-params v1\n1\nw 2 2\n";
+  v1_fixture.append(reinterpret_cast<const char*>(w.values.data()),
+                    w.values.size() * sizeof(double));
+  v1_fixture += "\n";
+  struct Case {
+    const char* label;
+    bool with_meta = true;
+    std::uint32_t schema = 1;
+    int count_delta = 0;  // added to the PARM count MMET declares
+    std::vector<HandParm> parms;
+    const char* want_error = nullptr;  // nullptr: must load bit-exact
+    std::string raw;  // non-empty: the file is these bytes instead
+  };
+  const std::vector<Case> cases = {
+      {"well-formed", true, 1, 0, {w, b}, nullptr, ""},
+      {"missing MMET", false, 1, 0, {w, b}, "missing MMET", ""},
+      {"MMET count != PARM chunks", true, 1, 1, {w, b},
+       "MMET declares 3 parameters but 2 PARM chunks", ""},
+      {"duplicate PARM", true, 1, 0, {w, b, w}, "duplicate PARM", ""},
+      {"unknown parameter", true, 1, 0, {w, stray}, "'stray' does not exist",
+       ""},
+      {"schema version 2", true, 2, 0, {w, b}, "schema version 2", ""},
+      {"asteria-params v1 fixture", true, 1, 0, {}, "not an asteria container",
+       v1_fixture},
+  };
+  const std::string path = TempPath("checkpoint_hand_built.bin");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    if (c.raw.empty()) {
+      WriteHandCheckpoint(path, c.with_meta, c.schema,
+                          c.parms.size() + c.count_delta, c.parms);
+    } else {
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << c.raw;
+    }
+    nn::ParameterStore params;
+    params.Create("w", 2, 2)->value[0] = 7.0;
+    params.Create("b", 2, 1)->value[1] = 9.0;
+    const std::uint32_t before = store::WeightsFingerprint(params);
+    std::string error;
+    if (c.want_error == nullptr) {
+      ASSERT_TRUE(store::LoadModelCheckpoint(&params, path, &error)) << error;
+      for (const HandParm* parm : {&w, &b}) {
+        const nn::Parameter* p = params.Find(parm->name);
+        EXPECT_EQ(std::memcmp(p->value.data(), parm->values.data(),
+                              parm->values.size() * sizeof(double)),
+                  0)
+            << parm->name;
+      }
+      continue;
+    }
+    EXPECT_FALSE(store::LoadModelCheckpoint(&params, path, &error));
+    EXPECT_EQ(error.rfind(path, 0), 0u) << error;
+    EXPECT_NE(error.find(c.want_error), std::string::npos) << error;
+    EXPECT_EQ(store::WeightsFingerprint(params), before);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -761,7 +874,9 @@ TEST(CorpusCache, BuildOrLoadWritesThenReusesCache) {
   const dataset::CorpusConfig config = TinyCorpusConfig();
   const dataset::Corpus first = dataset::BuildOrLoadCorpus(config, path);
   // The miss must have written a cache...
-  ASSERT_TRUE(store::IsContainerFile(path));
+  store::Reader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Open(path, store::kKindCorpus, &error)) << error;
   // ...that the second call loads to the same corpus.
   const dataset::Corpus second = dataset::BuildOrLoadCorpus(config, path);
   ExpectSameCorpus(first, second);
