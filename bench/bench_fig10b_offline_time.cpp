@@ -24,6 +24,7 @@
 #include "compiler/compile.h"
 #include "core/search_index.h"
 #include "decompiler/decompile.h"
+#include "util/metrics.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -31,7 +32,7 @@ namespace asteria {
 namespace {
 
 struct Bucket {
-  util::TimingStats decompile, preprocess, encode, diaphora, acfg_extract,
+  util::ScalarStats decompile, preprocess, encode, diaphora, acfg_extract,
       gemini_encode;
 };
 

@@ -96,13 +96,13 @@ counter() {
   grep -oE "\"$2\": [0-9]+" "$1" | grep -oE '[0-9]+$' || echo 0
 }
 
-# The deterministic slice, as in check_serve.sh: drop the span profile and
-# every batch-shaped histogram, plus latency-valued fields.
+# The deterministic slice, as in check_serve.sh: drop the span.* histograms
+# and every batch-shaped histogram, plus latency-valued fields.
 filter() {
   awk '
-    /^  "spans": \{$/            { in_spans = 1 }
-    in_spans && /^  \},?$/       { in_spans = 0; next }
-    in_spans                     { next }
+    /^    "span\.[^"]*": \{$/    { in_span = 1 }
+    in_span && /^    \},?$/      { in_span = 0; next }
+    in_span                      { next }
     /^    "[^"]*batch[^"]*": \{$/ { in_batch = 1 }
     in_batch && /^    \},?$/     { in_batch = 0; next }
     in_batch                     { next }

@@ -82,7 +82,7 @@ filter() {
   awk '
     /^    "[a-z_.]*_nanos": \{$/ { in_nanos = 1 }
     in_nanos && /^    \}/        { in_nanos = 0 }
-    /"(sum|min|max|p50|p95|p99|total_seconds|mean_seconds)":/ { next }
+    /"(sum|min|max|p50|p95|p99)":/ { next }
     in_nanos && /"buckets":/     { next }
     { print }
   ' "$1"

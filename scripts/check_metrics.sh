@@ -3,11 +3,13 @@
 # clone search through asteria-cli at --threads=1 and --threads=8 with
 # --metrics_out, then
 #   1. asserts the deterministic slice of the two snapshots is identical —
-#      counter values, histogram observation counts, value-deterministic
-#      bucket tallies, span counts, and pipeline rows must not depend on the
-#      thread count (only latency-valued fields may differ);
+#      counter values, histogram observation counts (span.* histograms
+#      included), value-deterministic bucket tallies, and pipeline rows must
+#      not depend on the thread count (only latency-valued fields may
+#      differ);
 #   2. asserts the snapshot actually observed the run: nonzero encode.fast
-#      counter and decompile/encode/search span entries.
+#      counter and span.decompile_nanos/span.encode_nanos/span.search_nanos
+#      histograms.
 #
 # Usage: scripts/check_metrics.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -34,8 +36,8 @@ for threads in 1 8; do
 done
 
 # Strip the latency-valued (machine- and schedule-dependent) fields:
-#   - sum/min/max of every histogram (nanos histograms time real work),
-#   - total_seconds/mean_seconds of every span,
+#   - sum/min/max and the p50/p95/p99 estimates of every histogram (nanos
+#     histograms time real work),
 #   - per-bucket tallies of *_nanos histograms (observation values are
 #     timings, so bucket placement is nondeterministic; counts are not).
 # Everything that survives is the deterministic slice and must be identical
@@ -44,7 +46,7 @@ filter() {
   awk '
     /^    "[a-z_.]*_nanos": \{$/ { in_nanos = 1 }
     in_nanos && /^    \}/        { in_nanos = 0 }
-    /"(sum|min|max|p50|p95|p99|total_seconds|mean_seconds)":/ { next }
+    /"(sum|min|max|p50|p95|p99)":/ { next }
     in_nanos && /"buckets":/     { next }
     { print }
   ' "$1"
@@ -60,9 +62,10 @@ fi
 # The snapshot must have actually observed the run.
 grep -qE '"encode\.fast": [1-9]' "$WORK/m1.json" \
   || { echo "FAIL: encode.fast counter is zero or missing" >&2; exit 1; }
-for span in decompile encode search; do
-  grep -q "\"$span\": {" "$WORK/m1.json" \
-    || { echo "FAIL: span '$span' missing from snapshot" >&2; exit 1; }
+for stage in decompile encode search; do
+  grep -qE "^    \"span\.${stage}_nanos\": \{\$" "$WORK/m1.json" \
+    || { echo "FAIL: span.${stage}_nanos histogram missing from snapshot" >&2
+         exit 1; }
 done
 
 echo "OK: metrics snapshot deterministic across thread counts and complete"

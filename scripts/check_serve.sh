@@ -84,16 +84,16 @@ if ! diff -u "$WORK/out1.txt" "$WORK/out8.txt"; then
   exit 1
 fi
 
-# Deterministic metrics slice: drop the spans section and every *batch*
+# Deterministic metrics slice: drop every span.* histogram and every *batch*
 # histogram wholesale (their counts encode arrival timing), then the usual
 # latency-valued fields (sum/min/max and the p50/p95/p99 estimates
 # everywhere, nanos bucket tallies). Everything that survives must be
 # identical across worker counts.
 filter() {
   awk '
-    /^  "spans": \{$/            { in_spans = 1 }
-    in_spans && /^  \},?$/       { in_spans = 0; next }
-    in_spans                     { next }
+    /^    "span\.[^"]*": \{$/    { in_span = 1 }
+    in_span && /^    \},?$/      { in_span = 0; next }
+    in_span                      { next }
     /^    "[^"]*batch[^"]*": \{$/ { in_batch = 1 }
     in_batch && /^    \},?$/     { in_batch = 0; next }
     in_batch                     { next }

@@ -180,9 +180,9 @@ awk '
 echo "== check_trace: determinism with tracing armed =="
 filter() {
   awk '
-    /^  "spans": \{$/            { in_spans = 1 }
-    in_spans && /^  \},?$/       { in_spans = 0; next }
-    in_spans                     { next }
+    /^    "span\.[^"]*": \{$/    { in_span = 1 }
+    in_span && /^    \},?$/      { in_span = 0; next }
+    in_span                      { next }
     /^    "[^"]*batch[^"]*": \{$/ { in_batch = 1 }
     in_batch && /^    \},?$/     { in_batch = 0; next }
     in_batch                     { next }

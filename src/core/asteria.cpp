@@ -4,6 +4,7 @@
 
 #include "store/checkpoint.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace asteria::core {
 
@@ -31,7 +32,7 @@ double AsteriaModel::TrainEpoch(const std::vector<FunctionFeature>& features,
                                 std::vector<LabeledPair> pairs,
                                 util::Rng& rng,
                                 util::PipelineReport* report) {
-  ASTERIA_SPAN("train-epoch");
+  ASTERIA_SPAN("train_epoch");
   rng.Shuffle(pairs);
   if (report != nullptr && report->stage.empty()) report->stage = "train-epoch";
   double total_loss = 0.0;

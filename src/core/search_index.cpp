@@ -13,7 +13,6 @@
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace asteria::core {
@@ -249,7 +248,7 @@ SearchIndex::SearchIndex(const AsteriaModel& model, int threads)
 
 int SearchIndex::Add(const FunctionFeature& feature) {
   ASTERIA_SPAN("encode");
-  util::Timer timer;
+  const util::TraceSpan add_span(h_add_nanos);
   const nn::Matrix encoding = model_.Encode(feature.tree);
   std::memcpy(packed_.AppendColumn(), encoding.data(),
               static_cast<std::size_t>(hidden_dim_) * sizeof(double));
@@ -258,7 +257,6 @@ int SearchIndex::Add(const FunctionFeature& feature) {
   meta.callee_count = feature.callee_count;
   entries_.push_back(std::move(meta));
   MarkSideIndexDirty();
-  h_add_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
   return static_cast<int>(entries_.size()) - 1;
 }
 
@@ -573,7 +571,7 @@ std::vector<SearchHit> SearchIndex::TopK(const FunctionFeature& query,
                                          int k) const {
   if (k <= 0 || entries_.empty()) return {};
   ASTERIA_SPAN("search");
-  util::Timer timer;
+  const util::TraceSpan topk_span(h_topk_nanos);
   std::vector<nn::Matrix> encodings(1);
   encodings[0] = model_.Encode(query.tree);
   const std::vector<int> callees{query.callee_count};
@@ -581,7 +579,6 @@ std::vector<SearchHit> SearchIndex::TopK(const FunctionFeature& query,
       std::min<std::size_t>(static_cast<std::size_t>(k), entries_.size())};
   std::vector<SearchHit> hits =
       std::move(RingSweep(encodings, callees, keeps, {})[0]);
-  h_topk_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
   h_topk_size.Observe(hits.size());
   return hits;
 }
@@ -597,7 +594,7 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKBatch(
   }
   if (batch == 0) return results;
   ASTERIA_SPAN("search");
-  util::Timer timer;
+  const util::TraceSpan batch_span(h_topk_batch_nanos);
   h_topk_batch_queries.Observe(batch);
   // Encode the whole batch first (the expensive per-query step), in
   // parallel across queries. Each slot of `stats` is written by exactly one
@@ -628,7 +625,6 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKBatch(
   for (std::size_t q = 0; q < batch; ++q) {
     h_topk_size.Observe(results[q].size());
   }
-  h_topk_batch_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
   return results;
 }
 

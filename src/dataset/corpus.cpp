@@ -11,6 +11,7 @@
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace asteria::dataset {
 
@@ -101,7 +102,7 @@ PackageResult BuildPackage(const CorpusConfig& config, int pkg) {
 }  // namespace
 
 Corpus BuildCorpus(const CorpusConfig& config) {
-  ASTERIA_SPAN("corpus-build");
+  ASTERIA_SPAN("corpus_build");
   std::vector<PackageResult> results(
       static_cast<std::size_t>(std::max(0, config.packages)));
   util::ParallelFor(config.packages, config.threads, [&](std::int64_t pkg) {

@@ -7,7 +7,7 @@
 #include "store/container.h"
 #include "util/log.h"
 #include "util/metrics.h"
-#include "util/timer.h"
+#include "util/trace.h"
 
 namespace asteria::dataset {
 
@@ -277,12 +277,14 @@ Corpus BuildOrLoadCorpus(const CorpusConfig& config,
   if (cache_path.empty()) return BuildCorpus(config);
   std::string error;
   Corpus corpus;
-  util::Timer timer;
+  const std::int64_t start_nanos = util::TraceNowNanos();
   if (LoadCorpus(&corpus, config, cache_path, &error)) {
     c_cache_hit.Increment();
     ASTERIA_LOG(Info) << "corpus cache hit: " << cache_path << " ("
                       << corpus.functions.size() << " functions in "
-                      << timer.ElapsedSeconds() << "s)";
+                      << static_cast<double>(util::TraceNowNanos() -
+                                             start_nanos) * 1e-9
+                      << "s)";
     return corpus;
   }
   c_cache_miss.Increment();

@@ -6,6 +6,7 @@
 #include "decompiler/machine_cfg.h"
 #include "decompiler/structurer.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace asteria::decompiler {
 

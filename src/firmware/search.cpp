@@ -15,6 +15,7 @@
 #include "util/failpoint.h"
 #include "util/log.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace asteria::firmware {
 
@@ -214,7 +215,7 @@ FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config) {
 std::vector<nn::Matrix> EncodeFirmwareCorpus(const core::AsteriaModel& model,
                                              const FirmwareCorpus& corpus,
                                              util::PipelineReport* report) {
-  ASTERIA_SPAN("firmware-encode");
+  ASTERIA_SPAN("firmware_encode");
   util::PipelineReport local;
   local.stage = "firmware-encode";
   std::vector<nn::Matrix> encodings;

@@ -28,7 +28,6 @@
 #include "util/metrics.h"
 #include "util/request_log.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace asteria::ingest {
@@ -247,9 +246,11 @@ bool IngestService::Publish(store::ShardManifest next, std::string* error) {
              "ingest.publish)";
     return false;
   }
-  util::Timer timer;
+  // Only a publish that landed is observed, so not a scoped TraceSpan.
+  const std::int64_t start_nanos = util::TraceNowNanos();
   if (!SaveManifest(next, manifest_path(), error)) return false;
-  h_publish_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
+  h_publish_nanos.Observe(
+      static_cast<std::uint64_t>(util::TraceNowNanos() - start_nanos));
   manifest_ = std::move(next);
   g_shards.Set(static_cast<double>(manifest_.shards.size()));
   g_entries.Set(static_cast<double>(manifest_.TotalEntries()));
@@ -284,15 +285,16 @@ bool IngestService::IngestFile(const std::string& path, IngestStats* stats,
   // wall time rides in encode_nanos (encoding dominates an ingest), the
   // image path in name, the outcome says published vs failed. Deduped
   // images cut a record too — "we did nothing" is an answer.
-  util::Timer op_timer;
+  const std::int64_t start_nanos = util::TraceNowNanos();
   const auto cut_record = [&](util::RequestOutcome outcome) {
     util::RequestRecord record;
     record.trace_id = util::MintTraceId();
     record.op = "ingest.image";
     record.outcome = outcome;
-    record.encode_nanos = static_cast<std::uint64_t>(op_timer.ElapsedNanos());
     record.SetName(path);
     record.end_nanos = util::TraceNowNanos();
+    record.encode_nanos =
+        static_cast<std::uint64_t>(record.end_nanos - start_nanos);
     util::GlobalRequestLog().Append(record);
   };
   auto fail = [&](const std::string& why) {
@@ -821,12 +823,12 @@ bool DeltaVulnSearch(const core::AsteriaModel& model,
                      const std::string& index_dir, double threshold,
                      int beta, int threads, DeltaVulnResult* result,
                      std::string* error) {
-  ASTERIA_SPAN("delta-vuln-search");
+  ASTERIA_SPAN("delta_vuln_search");
   // Wide-event record for the whole sweep, cut on every exit path: the
   // sweep wall time in score_nanos, the delta's entry count in
   // scored_pairs, ok only when the scan (and its manifest advance) landed.
   struct RecordGuard {
-    util::Timer timer;
+    const std::int64_t start_nanos = util::TraceNowNanos();
     const DeltaVulnResult* result = nullptr;
     bool ok = false;
     ~RecordGuard() {
@@ -835,9 +837,10 @@ bool DeltaVulnSearch(const core::AsteriaModel& model,
       record.op = "ingest.delta_search";
       record.outcome =
           ok ? util::RequestOutcome::kOk : util::RequestOutcome::kError;
-      record.score_nanos = static_cast<std::uint64_t>(timer.ElapsedNanos());
       record.scored_pairs = result->entries_searched;
       record.end_nanos = util::TraceNowNanos();
+      record.score_nanos =
+          static_cast<std::uint64_t>(record.end_nanos - start_nanos);
       util::GlobalRequestLog().Append(record);
     }
   } record_guard;

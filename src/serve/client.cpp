@@ -10,9 +10,9 @@
 #include <cstring>
 #include <thread>
 
+#include "store/container.h"
 #include "util/metrics.h"
 #include "util/request_log.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace asteria::serve {
@@ -175,9 +175,12 @@ Client::ExchangeResult Client::ExchangeOnce(
       cut_record(util::RequestOutcome::kError);
       return ExchangeResult::kTransport;
     }
+    // Every reply payload opens with the request id. Read only that here:
+    // GetError below and the callers' typed parsers check the full layout.
     std::uint64_t reply_id = 0;
     std::string parse_error;
-    if (!GetControl(*reply_payload, &reply_id, &parse_error)) {
+    store::ChunkParser id_parser(*reply_payload);
+    if (!id_parser.GetU64(&reply_id, &parse_error)) {
       *error = "unparseable reply: " + parse_error;
       cut_record(util::RequestOutcome::kError);
       return ExchangeResult::kFailed;
@@ -194,10 +197,10 @@ Client::ExchangeResult Client::ExchangeOnce(
       return ExchangeResult::kFailed;
     }
     if (reply_id != id) continue;
-    // The daemon echoes the request's trace id on the reply; an echo that
-    // disagrees means the frames are crossed — fail loudly rather than
-    // trust the payload. A zero echo is an untraced reply, which is fine.
-    if (reply_trace_id != 0 && trace_id != 0 && reply_trace_id != trace_id) {
+    // The daemon echoes the request's trace id on every per-request reply;
+    // any other echo, 0 included, means the frames are crossed — fail
+    // loudly rather than trust the payload.
+    if (reply_trace_id != trace_id) {
       *error = "reply trace id mismatch (frames crossed on the connection)";
       cut_record(util::RequestOutcome::kError);
       return ExchangeResult::kFailed;

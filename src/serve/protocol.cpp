@@ -201,6 +201,16 @@ bool WriteFrame(int fd, FrameType type, const store::ChunkBuilder& payload,
 
 namespace {
 
+// Every payload parser ends here: a payload longer than its layout is
+// malformed, not silently truncated.
+bool AtPayloadEnd(const store::ChunkParser& parser, const char* payload_kind,
+                  std::string* error) {
+  if (parser.AtEnd()) return true;
+  *error = std::to_string(parser.remaining()) + " trailing bytes after the " +
+           payload_kind + " payload";
+  return false;
+}
+
 void PutTree(const ast::BinaryAst& tree, store::ChunkBuilder* out) {
   out->PutU32(static_cast<std::uint32_t>(tree.size()));
   out->PutI32(tree.root());
@@ -306,13 +316,8 @@ bool GetQuery(const std::vector<std::uint8_t>& payload, FrameType type,
   } else {
     if (!parser.GetF64(threshold, error)) return false;
   }
-  if (!GetTree(&parser, &query->tree, error)) return false;
-  if (!parser.AtEnd()) {
-    *error = std::to_string(parser.remaining()) +
-             " trailing bytes after the query payload";
-    return false;
-  }
-  return true;
+  return GetTree(&parser, &query->tree, error) &&
+         AtPayloadEnd(parser, "query", error);
 }
 
 void PutHits(std::uint64_t id, const std::vector<core::SearchHit>& hits,
@@ -349,7 +354,7 @@ bool GetHits(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
     }
     hits->push_back(std::move(hit));
   }
-  return true;
+  return AtPayloadEnd(parser, "hits", error);
 }
 
 void PutControl(std::uint64_t id, store::ChunkBuilder* out) { out->PutU64(id); }
@@ -357,7 +362,7 @@ void PutControl(std::uint64_t id, store::ChunkBuilder* out) { out->PutU64(id); }
 bool GetControl(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
                 std::string* error) {
   store::ChunkParser parser(payload);
-  return parser.GetU64(id, error);
+  return parser.GetU64(id, error) && AtPayloadEnd(parser, "control", error);
 }
 
 void PutError(std::uint64_t id, const std::string& message,
@@ -369,7 +374,8 @@ void PutError(std::uint64_t id, const std::string& message,
 bool GetError(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
               std::string* message, std::string* error) {
   store::ChunkParser parser(payload);
-  return parser.GetU64(id, error) && parser.GetString(message, error);
+  return parser.GetU64(id, error) && parser.GetString(message, error) &&
+         AtPayloadEnd(parser, "error", error);
 }
 
 void PutHealthInfo(std::uint64_t id, const HealthInfo& info,
@@ -400,7 +406,7 @@ bool GetHealthInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
     return false;
   }
   info->draining = draining != 0;
-  return true;
+  return AtPayloadEnd(parser, "health", error);
 }
 
 void PutStatsInfo(std::uint64_t id, const StatsInfo& info,
@@ -470,12 +476,7 @@ bool GetStatsInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
     }
     info->samples.push_back(sample);
   }
-  if (!parser.AtEnd()) {
-    *error = std::to_string(parser.remaining()) +
-             " trailing bytes after the stats payload";
-    return false;
-  }
-  return true;
+  return AtPayloadEnd(parser, "stats", error);
 }
 
 }  // namespace asteria::serve

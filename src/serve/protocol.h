@@ -181,7 +181,8 @@ bool WriteFrame(int fd, FrameType type, const store::ChunkBuilder& payload,
 // (declared node/hit counts vs. remaining bytes) and reject structurally
 // invalid ASTs — out-of-range child ids, a node with two parents, a root
 // that is someone's child — so a crafted query can never make the encoder
-// walk garbage. GetX functions return false and fill `error`.
+// walk garbage. Bytes past the end of a payload's layout are malformed too.
+// GetX functions return false and fill `error`.
 
 void PutQuery(std::uint64_t id, const core::FunctionFeature& query, int k,
               double threshold, FrameType type, store::ChunkBuilder* out);

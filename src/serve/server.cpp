@@ -18,7 +18,6 @@
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/request_log.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace asteria::serve {
@@ -72,6 +71,19 @@ util::Gauge g_index_size("serve.index_size");
 // Wide-event op name for a query frame (docs/OBSERVABILITY.md).
 const char* QueryOpName(FrameType type) {
   return type == FrameType::kTopK ? "serve.topk" : "serve.above_threshold";
+}
+
+// Wide-event op name for a control frame; nullptr for any other type.
+const char* ControlOpName(FrameType type) {
+  switch (type) {
+    case FrameType::kPing: return "serve.ping";
+    case FrameType::kReload: return "serve.reload";
+    case FrameType::kShutdown: return "serve.shutdown";
+    case FrameType::kCancel: return "serve.cancel";
+    case FrameType::kHealth: return "serve.health";
+    case FrameType::kStats: return "serve.stats";
+    default: return nullptr;
+  }
 }
 
 // Cuts a bare control/error record (no queue or scoring phases — those are
@@ -134,12 +146,26 @@ struct Server::Connection {
     return SendFrame(FrameType::kError, payload, trace_id);
   }
 
-  // Id-only reply (kOk / kOverloaded / kDeadlineExceeded / kShuttingDown).
-  bool SendControl(FrameType type, std::uint64_t id,
-                   std::uint64_t trace_id = 0) {
+  // The one reply-timing path: sends the frame and returns the write's
+  // duration (write-lock wait included) on the TraceNowNanos clock. Every
+  // request record's reply_nanos comes from here — answered, control, shed,
+  // deadline and drain replies alike. `sent` reports whether the frame
+  // reached the wire.
+  std::uint64_t SendTimed(FrameType type, const store::ChunkBuilder& payload,
+                          std::uint64_t trace_id, bool* sent = nullptr) {
+    const std::int64_t start_nanos = util::TraceNowNanos();
+    const bool ok = SendFrame(type, payload, trace_id);
+    if (sent != nullptr) *sent = ok;
+    return static_cast<std::uint64_t>(util::TraceNowNanos() - start_nanos);
+  }
+
+  // Id-only reply (kOverloaded / kDeadlineExceeded / kShuttingDown), timed
+  // like SendTimed.
+  std::uint64_t SendControl(FrameType type, std::uint64_t id,
+                            std::uint64_t trace_id) {
     store::ChunkBuilder payload;
     PutControl(id, &payload);
-    return SendFrame(type, payload, trace_id);
+    return SendTimed(type, payload, trace_id);
   }
 
   // Explicit kCancel bookkeeping. The list is bounded (oldest evicted):
@@ -455,7 +481,7 @@ void Server::Run() {
   // readers with EOF — flagging draining_ first so their exits read as
   // shutdown, not client disconnects — give queued work the drain window,
   // then join everything and remove the socket.
-  util::Timer drain_timer;
+  const util::TraceSpan drain_span(h_drain_nanos);
   draining_.store(true, std::memory_order_release);
   std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> readers;
@@ -500,7 +526,6 @@ void Server::Run() {
   }
   telemetry_cv_.notify_all();
   if (telemetry_thread_.joinable()) telemetry_thread_.join();
-  h_drain_nanos.Observe(static_cast<std::uint64_t>(drain_timer.ElapsedNanos()));
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(config_.socket_path.c_str());
@@ -569,183 +594,134 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                          const std::vector<std::uint8_t>& payload,
                          std::uint64_t deadline_ms, std::uint64_t trace_id) {
   std::string error;
-  std::uint64_t id = 0;
-  switch (type) {
-    case FrameType::kTopK:
-    case FrameType::kAboveThreshold: {
-      Request request;
-      request.conn = conn;
-      request.type = type;
-      request.trace_id = trace_id;
-      // A rejected query still cuts a wide-event record: shed and malformed
-      // requests are exactly the ones a latency investigation needs to see.
-      // The name lives outside `request` because a failed TryPush leaves
-      // `request` moved-from — the shed record must still carry it.
-      std::string record_name;
-      const auto cut_admission_record = [&](util::RequestOutcome outcome,
-                                            std::uint64_t reply_nanos) {
-        util::RequestRecord record;
-        record.trace_id = trace_id;
-        record.op = QueryOpName(type);
-        record.outcome = outcome;
-        record.reply_nanos = reply_nanos;
-        record.has_deadline = deadline_ms > 0;
-        if (deadline_ms > 0) {
-          record.deadline_slack_nanos =
-              static_cast<std::int64_t>(deadline_ms) * 1000000;
-        }
-        record.SetName(record_name);
-        record.end_nanos = util::TraceNowNanos();
-        util::GlobalRequestLog().Append(record);
-      };
-      const bool query_parsed =
-          GetQuery(payload, type, &request.id, &request.query, &request.k,
-                   &request.threshold, &error);
-      record_name = request.query.name;
-      if (!query_parsed) {
-        // Framing and CRC were fine, so the stream is still aligned: report
-        // the malformed payload and keep the connection.
-        conn->SendError(request.id, error, trace_id);
-        cut_admission_record(util::RequestOutcome::kError, 0);
-        return true;
-      }
-      if (request.query.tree.empty()) {
-        conn->SendError(request.id, "query AST is empty", trace_id);
-        cut_admission_record(util::RequestOutcome::kError, 0);
-        return true;
-      }
-      if (type == FrameType::kTopK && request.k < 1) {
-        conn->SendError(request.id,
-                        "k must be >= 1, got " + std::to_string(request.k),
-                        trace_id);
-        cut_admission_record(util::RequestOutcome::kError, 0);
-        return true;
-      }
-      if (type == FrameType::kAboveThreshold &&
-          !std::isfinite(request.threshold)) {
-        conn->SendError(request.id, "threshold must be finite", trace_id);
-        cut_admission_record(util::RequestOutcome::kError, 0);
-        return true;
-      }
-      request.enqueue_epoch =
-          conn->cancel_epoch.load(std::memory_order_acquire);
+  if (type == FrameType::kTopK || type == FrameType::kAboveThreshold) {
+    Request request;
+    request.conn = conn;
+    request.type = type;
+    request.trace_id = trace_id;
+    // A rejected query still cuts a wide-event record: shed and malformed
+    // requests are exactly the ones a latency investigation needs to see.
+    // The name lives outside `request` because a failed TryPush leaves
+    // `request` moved-from — the shed record must still carry it.
+    std::string record_name;
+    const auto cut_admission_record = [&](util::RequestOutcome outcome,
+                                          std::uint64_t reply_nanos) {
+      util::RequestRecord record;
+      record.trace_id = trace_id;
+      record.op = QueryOpName(type);
+      record.outcome = outcome;
+      record.reply_nanos = reply_nanos;
+      record.has_deadline = deadline_ms > 0;
       if (deadline_ms > 0) {
-        request.has_deadline = true;
-        request.deadline = std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(deadline_ms);
+        record.deadline_slack_nanos =
+            static_cast<std::int64_t>(deadline_ms) * 1000000;
       }
-      request.enqueue_nanos = util::TraceNowNanos();
-      c_requests.Increment();
-      const std::uint64_t request_id = request.id;
-      // Admission control: shed instead of block. A full queue means the
-      // workers are already saturated — queueing deeper only grows latency
-      // for everyone, so the honest answer is an immediate kOverloaded the
-      // client can back off on.
-      const std::size_t high_water =
-          config_.queue_high_water < 1
-              ? 0
-              : static_cast<std::size_t>(config_.queue_high_water);
-      if (!queue_->TryPush(std::move(request), high_water)) {
-        if (queue_->closed()) {
-          util::Timer reply_timer;
-          conn->SendControl(FrameType::kShuttingDown, request_id, trace_id);
-          cut_admission_record(
-              util::RequestOutcome::kShuttingDown,
-              static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-          return false;
-        }
-        c_shed.Increment();
-        util::Timer reply_timer;
-        conn->SendControl(FrameType::kOverloaded, request_id, trace_id);
-        cut_admission_record(
-            util::RequestOutcome::kShed,
-            static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-      }
+      record.SetName(record_name);
+      record.end_nanos = util::TraceNowNanos();
+      util::GlobalRequestLog().Append(record);
+    };
+    const bool query_parsed =
+        GetQuery(payload, type, &request.id, &request.query, &request.k,
+                 &request.threshold, &error);
+    record_name = request.query.name;
+    if (!query_parsed) {
+      // Framing and CRC were fine, so the stream is still aligned: report
+      // the malformed payload and keep the connection.
+      conn->SendError(request.id, error, trace_id);
+      cut_admission_record(util::RequestOutcome::kError, 0);
       return true;
     }
-    case FrameType::kPing: {
-      if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id);
-        CutControlRecord(trace_id, "serve.ping", util::RequestOutcome::kError,
-                         0);
-        return true;
+    if (request.query.tree.empty()) {
+      conn->SendError(request.id, "query AST is empty", trace_id);
+      cut_admission_record(util::RequestOutcome::kError, 0);
+      return true;
+    }
+    if (type == FrameType::kTopK && request.k < 1) {
+      conn->SendError(request.id,
+                      "k must be >= 1, got " + std::to_string(request.k),
+                      trace_id);
+      cut_admission_record(util::RequestOutcome::kError, 0);
+      return true;
+    }
+    if (type == FrameType::kAboveThreshold &&
+        !std::isfinite(request.threshold)) {
+      conn->SendError(request.id, "threshold must be finite", trace_id);
+      cut_admission_record(util::RequestOutcome::kError, 0);
+      return true;
+    }
+    request.enqueue_epoch =
+        conn->cancel_epoch.load(std::memory_order_acquire);
+    if (deadline_ms > 0) {
+      request.has_deadline = true;
+      request.deadline = std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(deadline_ms);
+    }
+    request.enqueue_nanos = util::TraceNowNanos();
+    c_requests.Increment();
+    const std::uint64_t request_id = request.id;
+    // Admission control: shed instead of block. A full queue means the
+    // workers are already saturated — queueing deeper only grows latency
+    // for everyone, so the honest answer is an immediate kOverloaded the
+    // client can back off on.
+    const std::size_t high_water =
+        config_.queue_high_water < 1
+            ? 0
+            : static_cast<std::size_t>(config_.queue_high_water);
+    if (!queue_->TryPush(std::move(request), high_water)) {
+      if (queue_->closed()) {
+        cut_admission_record(util::RequestOutcome::kShuttingDown,
+                             conn->SendControl(FrameType::kShuttingDown,
+                                               request_id, trace_id));
+        return false;
       }
-      c_control.Increment();
-      store::ChunkBuilder reply;
+      c_shed.Increment();
+      cut_admission_record(
+          util::RequestOutcome::kShed,
+          conn->SendControl(FrameType::kOverloaded, request_id, trace_id));
+    }
+    return true;
+  }
+  const char* op = ControlOpName(type);
+  if (op == nullptr) {
+    conn->SendError(0, "unexpected frame type " +
+                           std::to_string(static_cast<std::uint32_t>(type)),
+                    trace_id);
+    return true;
+  }
+  std::uint64_t id = 0;
+  if (!GetControl(payload, &id, &error)) {
+    conn->SendError(0, error, trace_id);
+    CutControlRecord(trace_id, op, util::RequestOutcome::kError, 0);
+    return true;
+  }
+  c_control.Increment();
+  // Each case only builds its reply; the send and the record are shared.
+  FrameType reply_type = FrameType::kOk;
+  store::ChunkBuilder reply;
+  switch (type) {
+    case FrameType::kPing:
+      reply_type = FrameType::kPong;
       PutControl(id, &reply);
-      util::Timer reply_timer;
-      conn->SendFrame(FrameType::kPong, reply, trace_id);
-      CutControlRecord(trace_id, "serve.ping", util::RequestOutcome::kOk,
-                       static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-      return true;
-    }
-    case FrameType::kReload: {
-      if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id);
-        CutControlRecord(trace_id, "serve.reload",
-                         util::RequestOutcome::kError, 0);
-        return true;
-      }
-      c_control.Increment();
+      break;
+    case FrameType::kReload:
       // Reload on the reader thread: only this connection waits for the
       // load; workers keep answering against the pinned old snapshot.
       if (!Reload(&error)) {
         conn->SendError(id, error, trace_id);
-        CutControlRecord(trace_id, "serve.reload",
-                         util::RequestOutcome::kError, 0);
+        CutControlRecord(trace_id, op, util::RequestOutcome::kError, 0);
         return true;
       }
-      store::ChunkBuilder reply;
       PutControl(id, &reply);
-      util::Timer reply_timer;
-      conn->SendFrame(FrameType::kOk, reply, trace_id);
-      CutControlRecord(trace_id, "serve.reload", util::RequestOutcome::kOk,
-                       static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-      return true;
-    }
-    case FrameType::kShutdown: {
-      if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id);
-        CutControlRecord(trace_id, "serve.shutdown",
-                         util::RequestOutcome::kError, 0);
-        return true;
-      }
-      c_control.Increment();
-      store::ChunkBuilder reply;
-      PutControl(id, &reply);
-      util::Timer reply_timer;
-      conn->SendFrame(FrameType::kOk, reply, trace_id);
-      CutControlRecord(trace_id, "serve.shutdown", util::RequestOutcome::kOk,
-                       static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-      RequestStop();
-      return false;
-    }
-    case FrameType::kCancel: {
-      if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id);
-        CutControlRecord(trace_id, "serve.cancel",
-                         util::RequestOutcome::kError, 0);
-        return true;
-      }
-      c_control.Increment();
+      break;
+    case FrameType::kCancel:
       // Best effort by design: the query may already be scoring or
       // answered. The kOk acknowledges the *cancel request*, not that the
       // query was caught in time.
       conn->Cancel(id);
-      util::Timer reply_timer;
-      conn->SendControl(FrameType::kOk, id, trace_id);
-      CutControlRecord(trace_id, "serve.cancel", util::RequestOutcome::kOk,
-                       static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-      return true;
-    }
+      PutControl(id, &reply);
+      break;
     case FrameType::kHealth: {
-      if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id);
-        CutControlRecord(trace_id, "serve.health",
-                         util::RequestOutcome::kError, 0);
-        return true;
-      }
-      c_control.Increment();
+      reply_type = FrameType::kHealthInfo;
       HealthInfo info;
       info.index_size = snapshot()->size();
       info.queue_depth = queue_->size();
@@ -755,22 +731,11 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       info.answered = c_replies.Value();
       info.shed = c_shed.Value();
       info.deadline_exceeded = c_deadline_exceeded.Value();
-      store::ChunkBuilder reply;
       PutHealthInfo(id, info, &reply);
-      util::Timer reply_timer;
-      conn->SendFrame(FrameType::kHealthInfo, reply, trace_id);
-      CutControlRecord(trace_id, "serve.health", util::RequestOutcome::kOk,
-                       static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-      return true;
+      break;
     }
     case FrameType::kStats: {
-      if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id);
-        CutControlRecord(trace_id, "serve.stats",
-                         util::RequestOutcome::kError, 0);
-        return true;
-      }
-      c_control.Increment();
+      reply_type = FrameType::kStatsInfo;
       StatsInfo info;
       info.uptime_ms = UptimeMs();
       info.requests = c_requests.Value();
@@ -786,20 +751,20 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       info.p95_nanos = static_cast<std::uint64_t>(latency.p95 + 0.5);
       info.p99_nanos = static_cast<std::uint64_t>(latency.p99 + 0.5);
       info.samples = SampleRing(std::chrono::steady_clock::now());
-      store::ChunkBuilder reply;
       PutStatsInfo(id, info, &reply);
-      util::Timer reply_timer;
-      conn->SendFrame(FrameType::kStatsInfo, reply, trace_id);
-      CutControlRecord(trace_id, "serve.stats", util::RequestOutcome::kOk,
-                       static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-      return true;
+      break;
     }
-    default:
-      conn->SendError(0, "unexpected frame type " +
-                             std::to_string(static_cast<std::uint32_t>(type)),
-                      trace_id);
-      return true;
+    default:  // kShutdown
+      PutControl(id, &reply);
+      break;
   }
+  CutControlRecord(trace_id, op, util::RequestOutcome::kOk,
+                   conn->SendTimed(reply_type, reply, trace_id));
+  if (type == FrameType::kShutdown) {
+    RequestStop();
+    return false;
+  }
+  return true;
 }
 
 void Server::WorkerLoop() {
@@ -820,7 +785,7 @@ void Server::WorkerLoop() {
 }
 
 void Server::DispatchBatch(std::vector<Request>* batch) {
-  util::Timer timer;
+  const std::int64_t batch_start_nanos = util::TraceNowNanos();
   h_batch_requests.Observe(batch->size());
   if (fp_stall_worker.ShouldFail()) {
     // Chaos hook: hold the batch so tests can deterministically disconnect,
@@ -874,18 +839,16 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
     }
     if (req.has_deadline && now >= req.deadline) {
       c_deadline_exceeded.Increment();
-      util::Timer reply_timer;
-      req.conn->SendControl(FrameType::kDeadlineExceeded, req.id, req.trace_id);
       cut_triage_record(req, util::RequestOutcome::kDeadlineExceeded,
-                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
+                        req.conn->SendControl(FrameType::kDeadlineExceeded,
+                                              req.id, req.trace_id));
       continue;
     }
     if (drain_expired) {
       c_drain_dropped.Increment();
-      util::Timer reply_timer;
-      req.conn->SendControl(FrameType::kShuttingDown, req.id, req.trace_id);
       cut_triage_record(req, util::RequestOutcome::kShuttingDown,
-                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
+                        req.conn->SendControl(FrameType::kShuttingDown,
+                                              req.id, req.trace_id));
       continue;
     }
     live.push_back(std::move(req));
@@ -902,6 +865,25 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
   static thread_local std::vector<core::SearchIndex::QuerySearchStats>
       live_stats;
   live_stats.assign(live.size(), core::SearchIndex::QuerySearchStats{});
+  // Writes each scored query's kHits reply; `slots[j]` is result j's slot
+  // in `live`.
+  const auto answer =
+      [&](const std::vector<std::size_t>& slots,
+          const std::vector<std::vector<core::SearchHit>>& results,
+          const std::vector<core::SearchIndex::QuerySearchStats>& stats) {
+        for (std::size_t j = 0; j < slots.size(); ++j) {
+          Request& req = live[slots[j]];
+          live_stats[slots[j]] = stats[j];
+          store::ChunkBuilder reply;
+          PutHits(req.id, results[j], &reply);
+          if (fp_slow_reply.ShouldFail()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          }
+          req.reply_nanos = req.conn->SendTimed(FrameType::kHits, reply,
+                                                req.trace_id, &req.replied);
+          if (req.replied) c_replies.Increment();
+        }
+      };
   std::vector<const core::FunctionFeature*> topk_queries;
   std::vector<int> topk_ks;
   std::vector<std::size_t> topk_slots;
@@ -915,23 +897,8 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
   }
   static thread_local std::vector<core::SearchIndex::QuerySearchStats>
       topk_stats;
-  const std::vector<std::vector<core::SearchHit>> topk_results =
-      index->TopKBatch(topk_queries, topk_ks, &topk_stats);
-  for (std::size_t j = 0; j < topk_slots.size(); ++j) {
-    const std::size_t slot = topk_slots[j];
-    Request& req = live[slot];
-    live_stats[slot] = topk_stats[j];
-    store::ChunkBuilder reply;
-    PutHits(req.id, topk_results[j], &reply);
-    if (fp_slow_reply.ShouldFail()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    const std::int64_t reply_start = util::TraceNowNanos();
-    req.replied = req.conn->SendFrame(FrameType::kHits, reply, req.trace_id);
-    req.reply_nanos =
-        static_cast<std::uint64_t>(util::TraceNowNanos() - reply_start);
-    if (req.replied) c_replies.Increment();
-  }
+  answer(topk_slots, index->TopKBatch(topk_queries, topk_ks, &topk_stats),
+         topk_stats);
   std::vector<const core::FunctionFeature*> at_queries;
   std::vector<double> at_thresholds;
   std::vector<std::size_t> at_slots;
@@ -945,25 +912,11 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
   }
   static thread_local std::vector<core::SearchIndex::QuerySearchStats>
       at_stats;
-  const std::vector<std::vector<core::SearchHit>> at_results =
-      index->AboveThresholdBatch(at_queries, at_thresholds, &at_stats);
-  for (std::size_t j = 0; j < at_slots.size(); ++j) {
-    const std::size_t slot = at_slots[j];
-    Request& req = live[slot];
-    live_stats[slot] = at_stats[j];
-    store::ChunkBuilder reply;
-    PutHits(req.id, at_results[j], &reply);
-    if (fp_slow_reply.ShouldFail()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    const std::int64_t reply_start = util::TraceNowNanos();
-    req.replied = req.conn->SendFrame(FrameType::kHits, reply, req.trace_id);
-    req.reply_nanos =
-        static_cast<std::uint64_t>(util::TraceNowNanos() - reply_start);
-    if (req.replied) c_replies.Increment();
-  }
+  answer(at_slots,
+         index->AboveThresholdBatch(at_queries, at_thresholds, &at_stats),
+         at_stats);
   const std::uint64_t elapsed =
-      static_cast<std::uint64_t>(timer.ElapsedNanos());
+      static_cast<std::uint64_t>(util::TraceNowNanos() - batch_start_nanos);
   // One wide event per answered query, and the slow-query spill: answered
   // records whose attributed latency crosses --slow_query_ms go to
   // slow_log_path in one O_APPEND write for the whole batch.

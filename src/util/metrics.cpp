@@ -62,6 +62,20 @@ std::string FormatU64(std::uint64_t value) {
   return buffer;
 }
 
+// Turns raw per-bucket tallies into `value`'s sparse bucket list and
+// percentile estimates (count/sum/min/max are already accumulated).
+void FinishHistogramValue(const std::uint64_t* buckets,
+                          HistogramValue* value) {
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    if (buckets[b] != 0) {
+      value->buckets.emplace_back(Histogram::BucketLowerBound(b), buckets[b]);
+    }
+  }
+  value->p50 = value->Percentile(0.50);
+  value->p95 = value->Percentile(0.95);
+  value->p99 = value->Percentile(0.99);
+}
+
 struct PipelineStageStats {
   std::int64_t ok = 0;
   std::int64_t skipped = 0;
@@ -211,29 +225,29 @@ double HistogramValue::Percentile(double q) const {
   return static_cast<double>(max);  // unreachable when tallies sum to count
 }
 
-HistogramValue Histogram::SnapshotValue() const {
-  HistogramValue value;
-  value.name = name_;
-  std::uint64_t buckets[kBuckets] = {};
+void Histogram::AccumulateInto(HistogramValue* value,
+                               std::uint64_t* buckets) const {
+  std::uint64_t count = 0;
   for (const HistStripe& stripe : stripes_) {
-    value.count += stripe.count.load(std::memory_order_relaxed);
-    value.sum += stripe.sum.load(std::memory_order_relaxed);
+    count += stripe.count.load(std::memory_order_relaxed);
+    value->sum += stripe.sum.load(std::memory_order_relaxed);
     for (int b = 0; b < kBuckets; ++b) {
       buckets[b] += stripe.buckets[b].load(std::memory_order_relaxed);
     }
   }
-  if (value.count > 0) {
-    value.min = min_.load(std::memory_order_relaxed);
-    value.max = max_.load(std::memory_order_relaxed);
-  }
-  for (int b = 0; b < kBuckets; ++b) {
-    if (buckets[b] != 0) {
-      value.buckets.emplace_back(BucketLowerBound(b), buckets[b]);
-    }
-  }
-  value.p50 = value.Percentile(0.50);
-  value.p95 = value.Percentile(0.95);
-  value.p99 = value.Percentile(0.99);
+  if (count == 0) return;
+  const std::uint64_t min = min_.load(std::memory_order_relaxed);
+  value->min = value->count == 0 ? min : std::min(value->min, min);
+  value->max = std::max(value->max, max_.load(std::memory_order_relaxed));
+  value->count += count;
+}
+
+HistogramValue Histogram::SnapshotValue() const {
+  HistogramValue value;
+  value.name = name_;
+  std::uint64_t buckets[kBuckets] = {};
+  AccumulateInto(&value, buckets);
+  FinishHistogramValue(buckets, &value);
   return value;
 }
 
@@ -276,13 +290,21 @@ MetricsSnapshot SnapshotMetrics() {
     for (const auto& [name, value] : gauges) {
       snapshot.gauges.push_back({name, value});
     }
-    std::map<std::string, const Histogram*> histograms;
+    // Histograms merge by name too: every ASTERIA_SPAN call site owns one,
+    // and one stage name may be recorded from several sites.
+    std::map<std::string, std::vector<const Histogram*>> histograms;
     for (const Histogram* histogram : registry.histograms) {
-      histograms[histogram->name()] = histogram;
+      histograms[histogram->name()].push_back(histogram);
     }
-    for (const auto& [name, histogram] : histograms) {
-      snapshot.histograms.push_back(histogram->SnapshotValue());
-      snapshot.histograms.back().name = name;
+    for (const auto& [name, group] : histograms) {
+      HistogramValue value;
+      value.name = name;
+      std::uint64_t buckets[Histogram::kBuckets] = {};
+      for (const Histogram* histogram : group) {
+        histogram->AccumulateInto(&value, buckets);
+      }
+      FinishHistogramValue(buckets, &value);
+      snapshot.histograms.push_back(std::move(value));
     }
     for (const auto& [stage, stats] : registry.pipeline) {
       snapshot.pipeline.push_back(
@@ -299,7 +321,6 @@ MetricsSnapshot SnapshotMetrics() {
             [](const CounterValue& a, const CounterValue& b) {
               return a.name < b.name;
             });
-  snapshot.spans = SnapshotSpans();
   return snapshot;
 }
 
@@ -329,11 +350,10 @@ void ResetMetricsForTest() {
     }
     registry.pipeline.clear();
   }
-  ResetSpansForTest();
 }
 
 std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{\n  \"schema\": \"asteria.metrics.v1\",\n";
+  std::string out = "{\n  \"schema\": \"asteria.metrics.v2\",\n";
 
   out += "  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
@@ -372,19 +392,6 @@ std::string MetricsSnapshot::ToJson() const {
     out += "}\n    }";
   }
   out += histograms.empty() ? "},\n" : "\n  },\n";
-
-  out += "  \"spans\": {";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const StageTiming& span = spans[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    \"" + JsonEscape(span.stage) + "\": {\n";
-    out += "      \"count\": " + FormatU64(span.count) + ",\n";
-    out += "      \"total_seconds\": " + FormatJsonDouble(span.total_seconds()) +
-           ",\n";
-    out += "      \"mean_seconds\": " + FormatJsonDouble(span.mean_seconds()) +
-           "\n    }";
-  }
-  out += spans.empty() ? "},\n" : "\n  },\n";
 
   out += "  \"pipeline\": {";
   for (std::size_t i = 0; i < pipeline.size(); ++i) {
@@ -431,15 +438,6 @@ std::string MetricsSnapshot::ToText() const {
                     FormatU64(h.count ? h.max : 0), FormatDouble(mean, 1),
                     FormatDouble(h.p50, 1), FormatDouble(h.p95, 1),
                     FormatDouble(h.p99, 1), buckets});
-    }
-    out += "\n" + table.ToString();
-  }
-  if (!spans.empty()) {
-    TextTable table({"span", "count", "total", "mean"});
-    for (const StageTiming& span : spans) {
-      table.AddRow({span.stage, FormatU64(span.count),
-                    FormatSeconds(span.total_seconds()),
-                    FormatSeconds(span.mean_seconds())});
     }
     out += "\n" + table.ToString();
   }

@@ -16,10 +16,11 @@
 // init) and snapshot time, never per sample.
 //
 // Determinism contract (tested at 1/2/8 threads in tests/metrics_test.cpp):
-// counter values, histogram observation counts, and span counts depend only
-// on the work performed, never on the thread count or scheduling. Bucket
-// tallies are additionally thread-count-invariant whenever the observed
-// values themselves are deterministic (sizes, counts, bytes); histograms of
+// counter values and histogram observation counts (trace spans included —
+// util/trace.h) depend only on the work performed, never on the thread
+// count or scheduling. Bucket tallies are additionally
+// thread-count-invariant whenever the observed values themselves are
+// deterministic (sizes, counts, bytes); histograms of
 // wall time ("*_nanos" by convention) have deterministic counts but
 // machine-dependent bucket placement. docs/OBSERVABILITY.md spells out the
 // full contract and the naming convention.
@@ -30,8 +31,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/trace.h"
 
 namespace asteria::util {
 
@@ -149,6 +148,11 @@ class Histogram {
     std::atomic<std::uint64_t> sum{0};
   };
 
+  // Adds this histogram's stripes to `value` (count/sum/min/max) and to the
+  // raw per-bucket tallies `buckets` (kBuckets entries), so several
+  // histograms sharing a name merge into one snapshot value.
+  void AccumulateInto(HistogramValue* value, std::uint64_t* buckets) const;
+
   const char* name_;
   std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
   std::atomic<std::uint64_t> max_{0};
@@ -156,9 +160,8 @@ class Histogram {
 };
 
 // Incremental count/sum/min/max accumulator for plain (single-threaded)
-// code — the scalar core the registry Histogram shares its summary stats
-// with, and the type util::TimingStats is an alias of (src/util/timer.h).
-// The first sample unconditionally seeds min and max.
+// code, e.g. repeated timings in the CLI and benches. The first sample
+// unconditionally seeds min and max.
 class ScalarStats {
  public:
   void Add(double value) {
@@ -236,14 +239,13 @@ struct MetricsSnapshot {
   std::vector<CounterValue> counters;  // includes "failpoint.<name>" per
                                        // failpoint that fired (trip counts)
   std::vector<GaugeValue> gauges;
-  std::vector<HistogramValue> histograms;
-  std::vector<StageTiming> spans;  // merged trace-span profile (util/trace.h)
+  std::vector<HistogramValue> histograms;  // includes "span.<stage>_nanos"
   std::vector<PipelineStageValue> pipeline;
 
-  // Machine-readable report: {"schema": "asteria.metrics.v1", "counters":
-  // {...}, "gauges": {...}, "histograms": {...}, "spans": {...},
-  // "pipeline": {...}}. Layout is stable (sorted keys, fixed indentation)
-  // so scripts/check_metrics.sh can diff deterministic sections textually.
+  // Machine-readable report: {"schema": "asteria.metrics.v2", "counters":
+  // {...}, "gauges": {...}, "histograms": {...}, "pipeline": {...}}.
+  // Layout is stable (sorted keys, fixed indentation) so
+  // scripts/check_metrics.sh can diff deterministic sections textually.
   std::string ToJson() const;
 
   // Human-readable tables (util::TextTable), the `asteria-cli stats` view.
@@ -254,11 +256,12 @@ struct MetricsSnapshot {
   bool WriteJson(const std::string& path, std::string* error) const;
 };
 
-// Collects every registered counter/gauge/histogram, the merged span
-// profile, failpoint trip counts, and published pipeline reports.
+// Collects every registered counter/gauge/histogram (counters and
+// histograms registered under the same name merge into one entry),
+// failpoint trip counts, and published pipeline reports.
 MetricsSnapshot SnapshotMetrics();
 
-// Zeroes every metric, span profile, and published pipeline report (not
+// Zeroes every metric and published pipeline report (not
 // failpoint state — use ClearFailpoints for that). Tests call this between
 // cases; production code never resets.
 void ResetMetricsForTest();

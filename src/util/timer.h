@@ -1,10 +1,10 @@
-// Wall-clock timing helpers used by the overhead experiments (Fig. 10).
+// Wall-clock stopwatch for the tools, benches and examples (the Fig. 10
+// overhead experiments). Library code times scopes with util::TraceSpan
+// (util/trace.h) instead, so src/ has one clock and one timing primitive.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-
-#include "util/metrics.h"
 
 namespace asteria::util {
 
@@ -32,11 +32,5 @@ class Timer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
-
-// Incremental mean/min/max accumulator for repeated timings. Folded into
-// util::ScalarStats (src/util/metrics.h), which seeds min/max from the
-// first sample unconditionally — the old local implementation compared
-// against stale zeros before checking count_ == 1.
-using TimingStats = ScalarStats;
 
 }  // namespace asteria::util

@@ -1,10 +1,7 @@
 #include "util/trace.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
-#include <map>
 #include <mutex>
 
 #if defined(__x86_64__)
@@ -15,20 +12,6 @@
 namespace asteria::util {
 
 namespace {
-
-// Registry of every thread's profile. Profiles are heap-allocated and never
-// freed (they stay reachable from here), so a snapshot taken after a worker
-// thread exits — e.g. after a ThreadPool is destroyed — still sees the
-// worker's samples.
-struct SpanRegistry {
-  std::mutex mutex;
-  std::vector<internal::StageProfile*> profiles;
-
-  static SpanRegistry& Instance() {
-    static SpanRegistry* registry = new SpanRegistry;  // never destroyed
-    return *registry;
-  }
-};
 
 std::int64_t SteadyNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -119,86 +102,12 @@ std::int64_t TscTraceNanos() {
 
 }  // namespace
 
-namespace internal {
-
-void StageProfile::Record(const char* stage, std::uint64_t elapsed_nanos) {
-  for (int i = 0; i < kMaxStages; ++i) {
-    // Only this thread writes `name`, so a relaxed read is authoritative.
-    const char* existing = slots[i].name.load(std::memory_order_relaxed);
-    if (existing == nullptr) {
-      // Publish the name before snapshots can see nonzero counts.
-      slots[i].name.store(stage, std::memory_order_release);
-      existing = stage;
-    }
-    if (existing == stage || std::strcmp(existing, stage) == 0) {
-      slots[i].count.fetch_add(1, std::memory_order_relaxed);
-      slots[i].nanos.fetch_add(elapsed_nanos, std::memory_order_relaxed);
-      return;
-    }
-  }
-  dropped.fetch_add(1, std::memory_order_relaxed);
-}
-
-StageProfile& ThreadStageProfile() {
-  thread_local StageProfile* profile = [] {
-    auto* p = new StageProfile;  // owned by the registry, never freed
-    SpanRegistry& registry = SpanRegistry::Instance();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.profiles.push_back(p);
-    return p;
-  }();
-  return *profile;
-}
-
-}  // namespace internal
-
 std::int64_t TraceNowNanos() {
 #if defined(__x86_64__)
   return TscTraceNanos();
 #else
   return SteadyNanos();
 #endif
-}
-
-std::vector<StageTiming> SnapshotSpans() {
-  SpanRegistry& registry = SpanRegistry::Instance();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  std::map<std::string, StageTiming> merged;  // keyed by name => sorted
-  std::uint64_t dropped = 0;
-  for (const internal::StageProfile* profile : registry.profiles) {
-    dropped += profile->dropped.load(std::memory_order_relaxed);
-    for (const internal::StageSlot& slot : profile->slots) {
-      const char* name = slot.name.load(std::memory_order_acquire);
-      if (name == nullptr) continue;
-      StageTiming& timing = merged[name];
-      timing.stage = name;
-      timing.count += slot.count.load(std::memory_order_relaxed);
-      timing.total_nanos += slot.nanos.load(std::memory_order_relaxed);
-    }
-  }
-  if (dropped > 0) {
-    StageTiming& timing = merged["trace.dropped"];
-    timing.stage = "trace.dropped";
-    timing.count += dropped;
-  }
-  std::vector<StageTiming> result;
-  result.reserve(merged.size());
-  for (auto& [name, timing] : merged) result.push_back(std::move(timing));
-  return result;
-}
-
-void ResetSpansForTest() {
-  SpanRegistry& registry = SpanRegistry::Instance();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  for (internal::StageProfile* profile : registry.profiles) {
-    profile->dropped.store(0, std::memory_order_relaxed);
-    for (internal::StageSlot& slot : profile->slots) {
-      // Keep the name (the slot stays claimed); zero the accumulators so
-      // the next snapshot only sees post-reset samples.
-      slot.count.store(0, std::memory_order_relaxed);
-      slot.nanos.store(0, std::memory_order_relaxed);
-    }
-  }
 }
 
 }  // namespace asteria::util

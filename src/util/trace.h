@@ -1,57 +1,32 @@
-// RAII trace spans: per-stage wall-time accounting for the pipeline
-// (decompile -> preprocess -> encode -> search), aggregated into a
-// per-thread, mergeable stage profile (docs/OBSERVABILITY.md).
+// Trace spans: per-stage wall-time distributions for the pipeline
+// (decompile -> preprocess -> encode -> search), recorded into ordinary
+// util::Histogram metrics (docs/OBSERVABILITY.md).
 //
 //   void SearchIndex::TopK(...) {
 //     ASTERIA_SPAN("search");
 //     ...
 //   }
 //
-// Each span records one (count, elapsed-nanos) sample under its stage name
-// when it goes out of scope. Samples land in a thread-local profile — no
-// lock, no shared cache line on the hot path; profiles register themselves
-// once per thread and are merged (summed per stage, in name order) by
-// SnapshotSpans(), so the merged result is independent of which thread ran
-// which shard. Span counts are deterministic for deterministic work; the
-// nanosecond totals are machine- and run-dependent by nature.
+// ASTERIA_SPAN("stage") observes the scope's elapsed TraceNowNanos() into
+// the histogram "span.<stage>_nanos" when it goes out of scope. The
+// histogram is a function-local static, so it is built (and registered)
+// the first time its call site runs, never at static init. Call sites that
+// share a stage name each own a histogram; SnapshotMetrics() merges
+// histograms by name, so "span.encode_nanos" counts every encode span in
+// the process. Span counts are deterministic for deterministic work; the
+// nanosecond values are machine- and run-dependent by nature.
 //
 // Spans nest freely: each span charges its full elapsed time to its own
-// stage ("encode" inside "corpus-build" counts toward both). Stage names
-// must be string literals — the profile stores the pointer.
+// stage ("encode" inside "corpus_build" counts toward both). Stage names
+// are string literals in [a-z_] (the macro pastes them into the histogram
+// name at compile time).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
+
+#include "util/metrics.h"
 
 namespace asteria::util {
-
-namespace internal {
-
-// One stage slot of a per-thread profile. Only the owning thread writes;
-// snapshots read concurrently, hence the relaxed atomics (never a lock).
-struct alignas(64) StageSlot {
-  std::atomic<const char*> name{nullptr};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> nanos{0};
-};
-
-// Fixed-capacity per-thread stage profile. 64 distinct stage names per
-// thread is far beyond what the pipeline defines; overflow samples are
-// dropped and counted in SnapshotSpans()'s "trace.dropped" stage.
-struct StageProfile {
-  static constexpr int kMaxStages = 64;
-  StageSlot slots[kMaxStages];
-  std::atomic<std::uint64_t> dropped{0};
-
-  void Record(const char* stage, std::uint64_t elapsed_nanos);
-};
-
-// The calling thread's profile, registered process-wide on first use.
-StageProfile& ThreadStageProfile();
-
-}  // namespace internal
 
 // Monotonic clock reading in nanoseconds. On x86-64 with an invariant TSC
 // this is a calibrated rdtsc read (~3x cheaper than a steady_clock call;
@@ -61,49 +36,32 @@ StageProfile& ThreadStageProfile();
 // are durations; don't mix with raw steady_clock arithmetic.
 std::int64_t TraceNowNanos();
 
-// Records elapsed wall time under `stage` (a string literal) on scope exit.
+// Observes the TraceNowNanos() time between construction and destruction
+// into `histogram` — the one scoped timer behind ASTERIA_SPAN and every
+// "*_nanos" histogram that times a whole scope.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* stage)
-      : stage_(stage), start_nanos_(TraceNowNanos()) {}
+  explicit TraceSpan(Histogram& histogram)
+      : histogram_(histogram), start_nanos_(TraceNowNanos()) {}
   ~TraceSpan() {
-    internal::ThreadStageProfile().Record(
-        stage_, static_cast<std::uint64_t>(TraceNowNanos() - start_nanos_));
+    histogram_.Observe(
+        static_cast<std::uint64_t>(TraceNowNanos() - start_nanos_));
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  const char* stage_;
+  Histogram& histogram_;
   std::int64_t start_nanos_;
 };
 
-// Merged view of one stage across every thread that ever recorded it.
-struct StageTiming {
-  std::string stage;
-  std::uint64_t count = 0;
-  std::uint64_t total_nanos = 0;
-
-  double total_seconds() const {
-    return static_cast<double>(total_nanos) * 1e-9;
-  }
-  double mean_seconds() const {
-    return count == 0 ? 0.0 : total_seconds() / static_cast<double>(count);
-  }
-};
-
-// Sums every thread's profile per stage name, sorted by name. Thread-count
-// independent for deterministic work (the merge is keyed by name, not by
-// thread). Included in util::SnapshotMetrics() as the "spans" section.
-std::vector<StageTiming> SnapshotSpans();
-
-// Zeroes every thread's profile (the profiles stay registered).
-void ResetSpansForTest();
-
 }  // namespace asteria::util
 
-// ASTERIA_SPAN("stage") — scoped span with a collision-free local name.
+// ASTERIA_SPAN("stage") — scoped span with collision-free local names.
 #define ASTERIA_SPAN_CONCAT2(a, b) a##b
 #define ASTERIA_SPAN_CONCAT(a, b) ASTERIA_SPAN_CONCAT2(a, b)
-#define ASTERIA_SPAN(stage) \
-  ::asteria::util::TraceSpan ASTERIA_SPAN_CONCAT(asteria_span_, __LINE__)(stage)
+#define ASTERIA_SPAN(stage)                                             \
+  static ::asteria::util::Histogram ASTERIA_SPAN_CONCAT(               \
+      asteria_span_histogram_, __LINE__)("span." stage "_nanos");      \
+  ::asteria::util::TraceSpan ASTERIA_SPAN_CONCAT(asteria_span_, __LINE__)( \
+      ASTERIA_SPAN_CONCAT(asteria_span_histogram_, __LINE__))

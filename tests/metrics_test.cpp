@@ -1,19 +1,18 @@
 // Tests for the metrics registry and trace spans (src/util/metrics.h,
 // src/util/trace.h): histogram bucket boundaries, snapshot determinism
-// under ThreadPool at 1/2/8 threads, span nesting and cross-thread merge,
-// JSON shape, pipeline-report publication, and failpoint trip counters.
+// under ThreadPool at 1/2/8 threads, span histograms (nesting, cross-thread
+// and cross-call-site merge), JSON shape, pipeline-report publication, and
+// failpoint trip counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/pipeline_report.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace asteria::util {
@@ -54,13 +53,15 @@ const HistogramValue* FindHistogram(const MetricsSnapshot& snapshot,
   return nullptr;
 }
 
-const StageTiming* FindSpan(const MetricsSnapshot& snapshot,
-                            const std::string& stage) {
-  for (const StageTiming& span : snapshot.spans) {
-    if (span.stage == stage) return &span;
-  }
-  return nullptr;
+// The histogram ASTERIA_SPAN(stage) records into.
+const HistogramValue* FindSpan(const MetricsSnapshot& snapshot,
+                               const std::string& stage) {
+  return FindHistogram(snapshot, "span." + stage + "_nanos");
 }
+
+// Two functions recording the same stage: separate call sites, one name.
+void SharedStageFromFirstSite() { ASTERIA_SPAN("shared_stage"); }
+void SharedStageFromSecondSite() { ASTERIA_SPAN("shared_stage"); }
 
 TEST_F(MetricsTest, HistogramBucketBoundaries) {
   // Bucket 0 holds exactly the value 0; bucket i >= 1 holds [2^(i-1), 2^i).
@@ -161,37 +162,56 @@ TEST_F(MetricsTest, GaugeLastWriteWinsAndUnsetGaugesHidden) {
 
 TEST_F(MetricsTest, SpanNestingChargesBothStages) {
   {
-    ASTERIA_SPAN("outer-stage");
+    ASTERIA_SPAN("outer_stage");
     {
-      ASTERIA_SPAN("inner-stage");
-      ASTERIA_SPAN("inner-stage");  // same stage twice in one scope
+      ASTERIA_SPAN("inner_stage");
+      ASTERIA_SPAN("inner_stage");  // same stage twice in one scope
     }
   }
   const MetricsSnapshot snapshot = SnapshotMetrics();
-  const StageTiming* outer = FindSpan(snapshot, "outer-stage");
-  const StageTiming* inner = FindSpan(snapshot, "inner-stage");
+  const HistogramValue* outer = FindSpan(snapshot, "outer_stage");
+  const HistogramValue* inner = FindSpan(snapshot, "inner_stage");
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
   EXPECT_EQ(outer->count, 1u);
   EXPECT_EQ(inner->count, 2u);
-  // The outer span covers the inner spans' lifetime.
-  EXPECT_GE(outer->total_nanos, inner->total_nanos / 2);
+  // The outer span covers both inner spans' lifetimes.
+  EXPECT_GE(outer->sum, inner->max);
+  // Every stage carries a distribution, not just a total.
+  EXPECT_LE(inner->p50, inner->p95);
+  EXPECT_LE(inner->p95, inner->p99);
 }
 
 TEST_F(MetricsTest, SpanCountsMergeAcrossThreads) {
   constexpr std::int64_t kItems = 64;
   for (const int threads : {1, 2, 8}) {
-    ResetSpansForTest();
+    ResetMetricsForTest();
     ParallelFor(kItems, threads,
-                [](std::int64_t) { ASTERIA_SPAN("merge-stage"); });
-    const std::vector<StageTiming> spans = SnapshotSpans();
-    std::uint64_t count = 0;
-    for (const StageTiming& span : spans) {
-      if (span.stage == "merge-stage") count = span.count;
-    }
-    EXPECT_EQ(count, static_cast<std::uint64_t>(kItems))
+                [](std::int64_t) { ASTERIA_SPAN("merge_stage"); });
+    const MetricsSnapshot snapshot = SnapshotMetrics();
+    const HistogramValue* span = FindSpan(snapshot, "merge_stage");
+    ASSERT_NE(span, nullptr) << "threads=" << threads;
+    EXPECT_EQ(span->count, static_cast<std::uint64_t>(kItems))
         << "threads=" << threads;
   }
+}
+
+TEST_F(MetricsTest, SpanStageSharedByTwoCallSitesIsOneHistogram) {
+  for (int i = 0; i < 3; ++i) SharedStageFromFirstSite();
+  for (int i = 0; i < 2; ++i) SharedStageFromSecondSite();
+  const MetricsSnapshot snapshot = SnapshotMetrics();
+  int entries = 0;
+  for (const HistogramValue& histogram : snapshot.histograms) {
+    if (histogram.name == "span.shared_stage_nanos") ++entries;
+  }
+  EXPECT_EQ(entries, 1);
+  const HistogramValue* span = FindSpan(snapshot, "shared_stage");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->count, 5u);
+  std::uint64_t tallied = 0;
+  for (const auto& [bound, tally] : span->buckets) tallied += tally;
+  EXPECT_EQ(tallied, 5u);
+  EXPECT_LE(span->min, span->max);
 }
 
 TEST_F(MetricsTest, PipelineReportPublishesOnSummary) {
@@ -241,35 +261,30 @@ TEST_F(MetricsTest, JsonShape) {
   t_counter.Add(7);
   t_gauge.Set(0.5);
   t_histogram.Observe(3);
-  { ASTERIA_SPAN("json-stage"); }
   PipelineReport report;
   report.stage = "json-pipe";
   report.AddOk();
   PublishPipelineReport(report);
 
   const std::string json = SnapshotMetrics().ToJson();
-  // Fixed schema marker and all five sections, in order.
-  EXPECT_NE(json.find("\"schema\": \"asteria.metrics.v1\""), std::string::npos);
+  // Fixed schema marker and all four sections, in order.
+  EXPECT_NE(json.find("\"schema\": \"asteria.metrics.v2\""), std::string::npos);
   const std::size_t counters_at = json.find("\"counters\": {");
   const std::size_t gauges_at = json.find("\"gauges\": {");
   const std::size_t histograms_at = json.find("\"histograms\": {");
-  const std::size_t spans_at = json.find("\"spans\": {");
   const std::size_t pipeline_at = json.find("\"pipeline\": {");
   ASSERT_NE(counters_at, std::string::npos);
   ASSERT_NE(gauges_at, std::string::npos);
   ASSERT_NE(histograms_at, std::string::npos);
-  ASSERT_NE(spans_at, std::string::npos);
   ASSERT_NE(pipeline_at, std::string::npos);
   EXPECT_LT(counters_at, gauges_at);
   EXPECT_LT(gauges_at, histograms_at);
-  EXPECT_LT(histograms_at, spans_at);
-  EXPECT_LT(spans_at, pipeline_at);
+  EXPECT_LT(histograms_at, pipeline_at);
 
   EXPECT_NE(json.find("\"test.counter\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"test.gauge\": 0.5"), std::string::npos);
   // Histogram value 3 lands in bucket [2,4).
   EXPECT_NE(json.find("\"buckets\": {\"2\": 1}"), std::string::npos);
-  EXPECT_NE(json.find("\"json-stage\""), std::string::npos);
   EXPECT_NE(json.find("\"json-pipe\""), std::string::npos);
   EXPECT_NE(json.find("\"first_failure\": \"\""), std::string::npos);
 
@@ -293,6 +308,22 @@ TEST_F(MetricsTest, JsonShape) {
   EXPECT_EQ(json.back(), '\n');
 }
 
+TEST_F(MetricsTest, SpansAreHistogramsInSchemaV2) {
+  { ASTERIA_SPAN("json_stage"); }
+  const std::string json = SnapshotMetrics().ToJson();
+  EXPECT_NE(json.find("\"schema\": \"asteria.metrics.v2\""), std::string::npos);
+  EXPECT_EQ(json.find("\"spans\""), std::string::npos);
+  EXPECT_EQ(json.find("asteria.metrics.v1"), std::string::npos);
+  // The span is an ordinary entry of the histograms section.
+  const std::size_t histograms_at = json.find("\"histograms\": {");
+  const std::size_t span_at = json.find("\"span.json_stage_nanos\": {");
+  const std::size_t pipeline_at = json.find("\"pipeline\": {");
+  ASSERT_NE(span_at, std::string::npos);
+  EXPECT_LT(histograms_at, span_at);
+  EXPECT_LT(span_at, pipeline_at);
+  EXPECT_NE(json.find("\"count\": 1", span_at), std::string::npos);
+}
+
 TEST_F(MetricsTest, JsonEscapesReasonStrings) {
   PipelineReport report;
   report.stage = "escape-stage";
@@ -307,19 +338,19 @@ TEST_F(MetricsTest, TextTableMentionsEverySection) {
   t_counter.Increment();
   t_gauge.Set(2.0);
   t_histogram.Observe(9);
-  { ASTERIA_SPAN("text-stage"); }
+  { ASTERIA_SPAN("text_stage"); }
   const std::string text = SnapshotMetrics().ToText();
   EXPECT_NE(text.find("test.counter"), std::string::npos);
   EXPECT_NE(text.find("test.gauge"), std::string::npos);
   EXPECT_NE(text.find("test.histogram"), std::string::npos);
-  EXPECT_NE(text.find("text-stage"), std::string::npos);
+  EXPECT_NE(text.find("span.text_stage_nanos"), std::string::npos);
 }
 
 TEST_F(MetricsTest, ResetClearsEverything) {
   t_counter.Add(3);
   t_gauge.Set(1.0);
   t_histogram.Observe(2);
-  { ASTERIA_SPAN("reset-stage"); }
+  { ASTERIA_SPAN("reset_stage"); }
   ResetMetricsForTest();
   const MetricsSnapshot snapshot = SnapshotMetrics();
   const CounterValue* c = FindCounter(snapshot, "test.counter");
@@ -329,18 +360,18 @@ TEST_F(MetricsTest, ResetClearsEverything) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 0u);
   EXPECT_TRUE(h->buckets.empty());
-  const StageTiming* span = FindSpan(snapshot, "reset-stage");
-  if (span != nullptr) {
-    EXPECT_EQ(span->count, 0u);
-  }
+  // The span's histogram stays registered and reads empty.
+  const HistogramValue* span = FindSpan(snapshot, "reset_stage");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->count, 0u);
+  EXPECT_TRUE(span->buckets.empty());
   for (const GaugeValue& gauge : snapshot.gauges) {
     EXPECT_NE(gauge.name, "test.gauge");
   }
 }
 
 TEST_F(MetricsTest, ScalarStatsSeedsMinMaxFromFirstSample) {
-  // Regression: the old TimingStats compared against stale min_/max_ state
-  // before checking count_ == 1. The first sample must seed both bounds.
+  // The first sample must seed both bounds.
   ScalarStats stats;
   stats.Add(5.0);
   EXPECT_DOUBLE_EQ(stats.min(), 5.0);
@@ -353,16 +384,11 @@ TEST_F(MetricsTest, ScalarStatsSeedsMinMaxFromFirstSample) {
   EXPECT_DOUBLE_EQ(stats.sum(), 15.0);
   EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
 
-  // Negative-only samples: the old code would have kept min at 0.
+  // Negative-only samples: min and max both come from the data, not 0.
   ScalarStats negative;
   negative.Add(-4.0);
   EXPECT_DOUBLE_EQ(negative.min(), -4.0);
   EXPECT_DOUBLE_EQ(negative.max(), -4.0);
-
-  // TimingStats is now an alias of ScalarStats.
-  TimingStats timing;
-  timing.Add(-1.0);
-  EXPECT_DOUBLE_EQ(timing.max(), -1.0);
 }
 
 TEST_F(MetricsTest, ConcurrentMixedWritersAreSafe) {
@@ -370,7 +396,7 @@ TEST_F(MetricsTest, ConcurrentMixedWritersAreSafe) {
   // many threads while snapshots race against the writers.
   constexpr std::int64_t kItems = 2000;
   ParallelFor(kItems, 8, [](std::int64_t i) {
-    ASTERIA_SPAN("hammer-stage");
+    ASTERIA_SPAN("hammer_stage");
     t_counter.Increment();
     t_gauge.Set(static_cast<double>(i));
     t_histogram.Observe(static_cast<std::uint64_t>(i));
@@ -379,7 +405,7 @@ TEST_F(MetricsTest, ConcurrentMixedWritersAreSafe) {
   const MetricsSnapshot snapshot = SnapshotMetrics();
   const CounterValue* c = FindCounter(snapshot, "test.counter");
   const HistogramValue* h = FindHistogram(snapshot, "test.histogram");
-  const StageTiming* span = FindSpan(snapshot, "hammer-stage");
+  const HistogramValue* span = FindSpan(snapshot, "hammer_stage");
   ASSERT_NE(c, nullptr);
   ASSERT_NE(h, nullptr);
   ASSERT_NE(span, nullptr);
@@ -434,37 +460,6 @@ TEST_F(MetricsTest, PercentilesPopulateSnapshotsAndJson) {
   const std::string text = snapshot.ToText();
   EXPECT_NE(text.find("p50"), std::string::npos);
   EXPECT_NE(text.find("p99"), std::string::npos);
-}
-
-TEST_F(MetricsTest, SpanOverflowSurfacesAsTraceDropped) {
-  // A thread that records more distinct stage names than its profile holds
-  // (kMaxStages) must drop the surplus and say so via the synthetic
-  // "trace.dropped" stage — never crash, never overwrite a claimed slot.
-  // The names are leaked on purpose: profiles keep the pointers forever,
-  // matching the string-literal contract.
-  auto* names = new std::vector<std::string>();
-  names->reserve(internal::StageProfile::kMaxStages + 1);
-  for (int i = 0; i <= internal::StageProfile::kMaxStages; ++i) {
-    names->push_back("overflow-stage-" + std::to_string(i));
-  }
-  std::thread recorder([names] {
-    internal::StageProfile& profile = internal::ThreadStageProfile();
-    for (const std::string& name : *names) profile.Record(name.c_str(), 1);
-  });
-  recorder.join();
-
-  const std::vector<StageTiming> spans = SnapshotSpans();
-  std::uint64_t dropped = 0;
-  std::uint64_t first = 0;
-  bool last_present = false;
-  for (const StageTiming& span : spans) {
-    if (span.stage == "trace.dropped") dropped = span.count;
-    if (span.stage == names->front()) first = span.count;
-    if (span.stage == names->back()) last_present = true;
-  }
-  EXPECT_EQ(first, 1u);          // slot 0 claimed and counted
-  EXPECT_FALSE(last_present);    // the 65th name never got a slot...
-  EXPECT_EQ(dropped, 1u);        // ...and was counted as dropped instead
 }
 
 }  // namespace

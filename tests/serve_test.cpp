@@ -301,10 +301,11 @@ std::uint64_t CounterValueOf(const util::MetricsSnapshot& snapshot,
   return 0;
 }
 
+// Observation count of ASTERIA_SPAN(stage)'s histogram.
 std::uint64_t SpanCountOf(const util::MetricsSnapshot& snapshot,
                           const std::string& stage) {
-  for (const util::StageTiming& span : snapshot.spans) {
-    if (span.stage == stage) return span.count;
+  for (const util::HistogramValue& histogram : snapshot.histograms) {
+    if (histogram.name == "span." + stage + "_nanos") return histogram.count;
   }
   return 0;
 }
@@ -1563,6 +1564,178 @@ TEST_F(ServeTest, TruncatedHealthInfoPayloadsAreMalformed) {
     EXPECT_FALSE(serve::GetHealthInfo(cut, &id, &health_out, &error))
         << "cut at " << keep;
   }
+}
+
+// Every payload parser rejects bytes past the end of its layout, the same
+// way for every frame kind.
+TEST_F(ServeTest, PayloadParsersRejectTrailingBytes) {
+  const auto queries = SyntheticFeatures(1, 245);
+  store::ChunkBuilder query_bytes;
+  serve::PutQuery(1, queries[0], 3, 0.0, serve::FrameType::kTopK,
+                  &query_bytes);
+  store::ChunkBuilder hits_bytes;
+  serve::PutHits(2, {{4, "f", 0.5}, {7, "g", 0.25}}, &hits_bytes);
+  store::ChunkBuilder control_bytes;
+  serve::PutControl(3, &control_bytes);
+  store::ChunkBuilder error_bytes;
+  serve::PutError(4, "boom", &error_bytes);
+  store::ChunkBuilder health_bytes;
+  serve::PutHealthInfo(5, serve::HealthInfo{}, &health_bytes);
+  serve::StatsInfo stats;
+  stats.samples.resize(2);
+  store::ChunkBuilder stats_bytes;
+  serve::PutStatsInfo(6, stats, &stats_bytes);
+
+  using Parser = std::function<bool(const std::vector<std::uint8_t>&,
+                                    std::string*)>;
+  struct Case {
+    const char* kind;
+    const store::ChunkBuilder* bytes;
+    Parser parse;
+  };
+  std::uint64_t id = 0;
+  const std::vector<Case> cases = {
+      {"query", &query_bytes,
+       [&](const std::vector<std::uint8_t>& bytes, std::string* error) {
+         core::FunctionFeature query;
+         int k = 0;
+         double threshold = 0.0;
+         return serve::GetQuery(bytes, serve::FrameType::kTopK, &id, &query,
+                                &k, &threshold, error);
+       }},
+      {"hits", &hits_bytes,
+       [&](const std::vector<std::uint8_t>& bytes, std::string* error) {
+         std::vector<core::SearchHit> hits;
+         return serve::GetHits(bytes, &id, &hits, error);
+       }},
+      {"control", &control_bytes,
+       [&](const std::vector<std::uint8_t>& bytes, std::string* error) {
+         return serve::GetControl(bytes, &id, error);
+       }},
+      {"error", &error_bytes,
+       [&](const std::vector<std::uint8_t>& bytes, std::string* error) {
+         std::string message;
+         return serve::GetError(bytes, &id, &message, error);
+       }},
+      {"health", &health_bytes,
+       [&](const std::vector<std::uint8_t>& bytes, std::string* error) {
+         serve::HealthInfo info;
+         return serve::GetHealthInfo(bytes, &id, &info, error);
+       }},
+      {"stats", &stats_bytes,
+       [&](const std::vector<std::uint8_t>& bytes, std::string* error) {
+         serve::StatsInfo info;
+         return serve::GetStatsInfo(bytes, &id, &info, error);
+       }},
+  };
+  for (const Case& test_case : cases) {
+    SCOPED_TRACE(test_case.kind);
+    std::string error;
+    ASSERT_TRUE(test_case.parse(test_case.bytes->bytes(), &error)) << error;
+    for (const std::size_t extra : {1u, 4u, 8u}) {
+      std::vector<std::uint8_t> padded = test_case.bytes->bytes();
+      padded.insert(padded.end(), extra, 0);
+      error.clear();
+      EXPECT_FALSE(test_case.parse(padded, &error)) << extra << " extra";
+      EXPECT_EQ(error, std::to_string(extra) + " trailing bytes after the " +
+                           test_case.kind + " payload");
+    }
+  }
+}
+
+// A control frame with trailing bytes gets exactly one kError; the
+// connection stays framed and keeps serving.
+TEST_F(HostileTest, ControlFramesWithTrailingBytesGetOneError) {
+  StartDaemon("ctl_trailing");
+  const int fd = ConnectRaw(socket_path_);
+  ASSERT_GE(fd, 0);
+  std::string error;
+  for (const serve::FrameType type :
+       {serve::FrameType::kPing, serve::FrameType::kHealth}) {
+    SCOPED_TRACE(static_cast<std::uint32_t>(type));
+    store::ChunkBuilder payload;
+    serve::PutControl(/*id=*/11, &payload);
+    payload.PutU32(0xabcdef01);  // 4 extra bytes
+    ASSERT_TRUE(SendAll(
+        fd, BuildFrameBytes(serve::kServeMagic, serve::kProtocolVersion,
+                            static_cast<std::uint32_t>(type), payload)));
+    serve::FrameType reply_type = serve::FrameType::kPong;
+    std::vector<std::uint8_t> reply;
+    ASSERT_EQ(serve::ReadFrame(fd, &reply_type, &reply, &error),
+              serve::ReadStatus::kFrame)
+        << error;
+    ASSERT_EQ(reply_type, serve::FrameType::kError);
+    std::uint64_t id = 99;
+    std::string message;
+    ASSERT_TRUE(serve::GetError(reply, &id, &message, &error)) << error;
+    EXPECT_EQ(id, 0u);
+    EXPECT_EQ(message, "4 trailing bytes after the control payload");
+  }
+  // The same connection still answers a well-formed ping — so each hostile
+  // frame earned one reply, not a close.
+  store::ChunkBuilder ping;
+  serve::PutControl(/*id=*/12, &ping);
+  ASSERT_TRUE(SendAll(
+      fd, BuildFrameBytes(serve::kServeMagic, serve::kProtocolVersion,
+                          static_cast<std::uint32_t>(serve::FrameType::kPing),
+                          ping)));
+  serve::FrameType reply_type = serve::FrameType::kError;
+  std::vector<std::uint8_t> reply;
+  ASSERT_EQ(serve::ReadFrame(fd, &reply_type, &reply, &error),
+            serve::ReadStatus::kFrame)
+      << error;
+  EXPECT_EQ(reply_type, serve::FrameType::kPong);
+  std::uint64_t id = 0;
+  ASSERT_TRUE(serve::GetControl(reply, &id, &error)) << error;
+  EXPECT_EQ(id, 12u);
+  ::close(fd);
+  ExpectStillServing();
+}
+
+// A reply whose id matches but whose trace id is 0 is a crossed frame: the
+// daemon echoes the trace id on every per-request reply.
+TEST_F(ServeTest, ClientRejectsZeroTraceEchoOnMatchingReply) {
+  const std::string socket_path = TempPath("serve_zero_echo.sock");
+  ::unlink(socket_path.c_str());
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  // Stub peer: answers one ping with the right id and trace id 0.
+  std::uint64_t request_trace = 0;
+  std::thread stub([&] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    serve::FrameType type = serve::FrameType::kError;
+    std::vector<std::uint8_t> payload;
+    std::string stub_error;
+    std::uint64_t id = 0;
+    if (serve::ReadFrame(fd, &type, &payload, &stub_error, nullptr, 0,
+                         &request_trace) == serve::ReadStatus::kFrame &&
+        serve::GetControl(payload, &id, &stub_error)) {
+      store::ChunkBuilder reply;
+      serve::PutControl(id, &reply);
+      serve::WriteFrame(fd, serve::FrameType::kPong, reply, &stub_error,
+                        /*deadline_ms=*/0, /*trace_id=*/0);
+    }
+    ::close(fd);
+  });
+  serve::Client client;
+  std::string error;
+  ASSERT_TRUE(client.Connect(socket_path, &error)) << error;
+  EXPECT_FALSE(client.Ping(&error));
+  stub.join();
+  ::close(listen_fd);
+  ::unlink(socket_path.c_str());
+  EXPECT_NE(request_trace, 0u);
+  EXPECT_NE(error.find("reply trace id mismatch (frames crossed"),
+            std::string::npos)
+      << error;
 }
 
 TEST_F(ServeTest, TraceIdIsEchoedOnReplies) {

@@ -1,5 +1,5 @@
-// util tests: RNG determinism/distributions, tables, flags, timers, and the
-// ThreadPool static-partition determinism contract.
+// util tests: RNG determinism/distributions, tables, flags, scalar stats,
+// and the ThreadPool static-partition determinism contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,11 +12,11 @@
 
 #include "util/failpoint.h"
 #include "util/flags.h"
+#include "util/metrics.h"
 #include "util/mpmc_queue.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace asteria::util {
 namespace {
@@ -127,8 +127,8 @@ TEST(Flags, RejectsUnknownFlag) {
   EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
 }
 
-TEST(TimingStats, TracksMeanMinMax) {
-  TimingStats stats;
+TEST(ScalarStats, TracksMeanMinMax) {
+  ScalarStats stats;
   stats.Add(1.0);
   stats.Add(3.0);
   stats.Add(2.0);
@@ -138,15 +138,14 @@ TEST(TimingStats, TracksMeanMinMax) {
   EXPECT_DOUBLE_EQ(stats.max(), 3.0);
 }
 
-TEST(TimingStats, FirstSampleSeedsMinAndMax) {
-  // The first sample must become both bounds unconditionally — samples
-  // above 0 (all durations) used to leave min stuck at the stale 0.
-  TimingStats stats;
+TEST(ScalarStats, FirstSampleSeedsMinAndMax) {
+  // The first sample becomes both bounds, whatever its sign.
+  ScalarStats stats;
   stats.Add(5.0);
   EXPECT_DOUBLE_EQ(stats.min(), 5.0);
   EXPECT_DOUBLE_EQ(stats.max(), 5.0);
 
-  TimingStats negative;
+  ScalarStats negative;
   negative.Add(-2.0);
   EXPECT_DOUBLE_EQ(negative.min(), -2.0);
   EXPECT_DOUBLE_EQ(negative.max(), -2.0);

@@ -665,7 +665,7 @@ int CmdIndexQuery(int argc, char** argv) {
   const std::vector<int> ks(queries.size(), k);
 
   std::vector<std::vector<core::SearchHit>> results;
-  util::TimingStats latency;
+  util::ScalarStats latency;
   for (long rep = 0; rep < g_repeat; ++rep) {
     util::Timer timer;
     results = index.TopKBatch(query_ptrs, ks);
@@ -723,7 +723,7 @@ int CmdQuery(int argc, char** argv) {
     return 1;
   }
   std::vector<core::SearchHit> hits;
-  util::TimingStats latency;
+  util::ScalarStats latency;
   for (long i = 0; i < g_repeat; ++i) {
     util::Timer timer;
     if (!client.TopK(query, k, &hits, &error)) {
