@@ -3,6 +3,8 @@
 // end-to-end search smoke test with a lightly trained model.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "compiler/compile.h"
 #include "decompiler/decompile.h"
 #include "firmware/image.h"
@@ -12,6 +14,7 @@
 #include "minic/interp.h"
 #include "minic/parser.h"
 #include "minic/sema.h"
+#include "util/failpoint.h"
 
 namespace asteria::firmware {
 namespace {
@@ -216,6 +219,110 @@ TEST(VulnSearch, TrainedModelFindsPlantedFunction) {
   }
   VulnSearchResult result = RunVulnSearch(model, corpus, /*threshold=*/0.6);
   EXPECT_GT(result.total_confirmed, 0);
+}
+
+// The Table IV row recomputed pair by pair, straight from the paper's
+// definitions: F = M * S (eq. 9-10) over every non-placeholder corpus
+// encoding, then criteria A/B and the ground truth. Independent of how
+// RunVulnSearch scores, so it is the oracle for any sweep behind it.
+CveSearchResult OracleRow(const core::AsteriaModel& model,
+                          const FirmwareCorpus& corpus,
+                          const std::vector<nn::Matrix>& encodings,
+                          const VulnSpec& spec, double threshold) {
+  CveSearchResult row;
+  row.cve = spec.cve;
+  row.software = spec.software;
+  row.function = spec.function;
+  minic::Program program;
+  std::string error;
+  EXPECT_TRUE(minic::Parse(spec.vulnerable_source, &program, &error)) << error;
+  EXPECT_TRUE(minic::Check(program, &error)) << error;
+  auto compiled = compiler::CompileProgram(
+      program, static_cast<binary::Isa>(kQueryIsa), spec.software);
+  EXPECT_TRUE(compiled.ok) << compiled.error;
+  const int fn_index = compiled.module.FindFunction(spec.function);
+  EXPECT_GE(fn_index, 0) << spec.cve;
+  if (fn_index < 0) return row;
+  const auto query = decompiler::DecompileFunction(compiled.module, fn_index);
+  const nn::Matrix query_encoding =
+      model.Encode(ast::ToLeftChildRightSibling(query.tree));
+  std::set<std::string> models;
+  for (std::size_t i = 0; i < corpus.functions.size(); ++i) {
+    if (encodings[i].size() == 0) continue;
+    const FirmwareFunction& fn = corpus.functions[i];
+    const double score = core::CalibratedSimilarity(
+        model.SimilarityFromEncodings(query_encoding, encodings[i]),
+        query.callee_count, fn.feature.callee_count);
+    if (score < threshold) continue;
+    ++row.candidates;
+    const std::string prefix = spec.software + "-";
+    if (fn.module.rfind(prefix, 0) == 0 &&
+        fn.module == prefix + spec.vulnerable_version) {
+      ++row.criteria_a;
+    }
+    if (score > 1.0 - 1e-9) ++row.criteria_b;
+    if (fn.truth_cve == spec.cve && !fn.patched) {
+      ++row.confirmed;
+      models.insert(corpus.images[static_cast<std::size_t>(fn.image)].model);
+    } else {
+      ++row.false_positives;
+    }
+  }
+  row.affected_models.assign(models.begin(), models.end());
+  return row;
+}
+
+TEST(VulnSearch, EveryRowMatchesThePairByPairOracle) {
+  FirmwareCorpusConfig config;
+  config.images = 6;
+  config.seed = 21;
+  config.software_probability = 1.0;
+  const FirmwareCorpus corpus = BuildFirmwareCorpus(config);
+  core::AsteriaConfig model_config;
+  model_config.siamese.encoder.embedding_dim = 8;
+  model_config.siamese.encoder.hidden_dim = 8;
+  const core::AsteriaModel model(model_config);
+  // An untrained model scores M well below 1, so only near callee classes
+  // clear 0.3: rings at distance >= 2 are provably below it (e^-2 < 0.3).
+  const double threshold = 0.3;
+
+  for (const bool holes : {false, true}) {
+    SCOPED_TRACE(holes ? "with firmware.encode placeholders" : "clean");
+    util::ClearFailpoints();
+    if (holes) {
+      ASSERT_TRUE(util::ConfigureFailpoints("firmware.encode=every:3"));
+    }
+    util::PipelineReport encode_report;
+    const std::vector<nn::Matrix> encodings =
+        EncodeFirmwareCorpus(model, corpus, &encode_report);
+    util::ClearFailpoints();
+    EXPECT_EQ(encode_report.failed > 0, holes);
+
+    const VulnSearchResult result =
+        RunVulnSearch(model, corpus, encodings, threshold);
+    ASSERT_EQ(result.per_cve.size(), VulnLibrary().size());
+    int candidates = 0, confirmed = 0;
+    for (std::size_t c = 0; c < VulnLibrary().size(); ++c) {
+      const CveSearchResult want =
+          OracleRow(model, corpus, encodings, VulnLibrary()[c], threshold);
+      const CveSearchResult& got = result.per_cve[c];
+      EXPECT_EQ(got.cve, want.cve);
+      EXPECT_EQ(got.software, want.software);
+      EXPECT_EQ(got.function, want.function);
+      EXPECT_EQ(got.candidates, want.candidates) << want.cve;
+      EXPECT_EQ(got.criteria_a, want.criteria_a) << want.cve;
+      EXPECT_EQ(got.criteria_b, want.criteria_b) << want.cve;
+      EXPECT_EQ(got.confirmed, want.confirmed) << want.cve;
+      EXPECT_EQ(got.false_positives, want.false_positives) << want.cve;
+      EXPECT_EQ(got.affected_models, want.affected_models) << want.cve;
+      candidates += want.candidates;
+      confirmed += want.confirmed;
+    }
+    EXPECT_GT(candidates, 0) << "threshold too high to exercise scoring";
+    EXPECT_EQ(result.total_candidates, candidates);
+    EXPECT_EQ(result.total_confirmed, confirmed);
+    EXPECT_EQ(result.report.skipped > 0, holes);
+  }
 }
 
 }  // namespace
