@@ -41,6 +41,7 @@
 #include "store/container.h"
 #include "store/manifest.h"
 #include "util/failpoint.h"
+#include "util/request_log.h"
 
 namespace asteria {
 namespace {
@@ -681,6 +682,54 @@ TEST_F(IngestTest, AlertLogSkipsTornAndCorruptLinesWithoutFailing) {
   ASSERT_EQ(read.size(), 1u);
   EXPECT_EQ(read[0].cve, good.cve);
   EXPECT_EQ(corrupt, 2);
+}
+
+// alerts.jsonl bytes captured before the alert log and the request log
+// shared one CRC-line codec: escapes, field order, %.17g score, framing
+// and CRC must never move.
+TEST_F(IngestTest, AlertLineBytesAreGolden) {
+  const std::string dir = FreshDir("alert_golden_idx");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+  ingest::AlertRecord alert;
+  alert.seq = 7;
+  alert.cve = "CVE-2020-0001";
+  alert.software = "open\"ssl\\lib";
+  alert.function = "tls_\x01parse";
+  alert.hit = "mod::sub_1f";
+  alert.score = 0.987654321012345678;
+  std::string error;
+  ASSERT_TRUE(ingest::AppendAlerts(dir, {alert}, &error)) << error;
+  EXPECT_EQ(ReadFileBytes(ingest::AlertLogPath(dir)),
+            "ALRT 2912f517 {\"seq\":7,\"cve\":\"CVE-2020-0001\","
+            "\"software\":\"open\\\"ssl\\\\lib\","
+            "\"function\":\"tls_\\u0001parse\",\"hit\":\"mod::sub_1f\","
+            "\"score\":0.98765432101234563}\n");
+}
+
+TEST_F(IngestTest, ValidRequestRecordLineIsCorruptInTheAlertLog) {
+  const std::string dir = FreshDir("alert_slow_idx");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+  ingest::AlertRecord alert;
+  alert.seq = 2;
+  alert.cve = "CVE-2020-0003";
+  alert.hit = "fn3";
+  std::string error;
+  ASSERT_TRUE(ingest::AppendAlerts(dir, {alert}, &error)) << error;
+  util::RequestRecord record;
+  record.trace_id = 42;
+  record.op = "serve.topk";
+  record.SetName("fn3");
+  {
+    std::ofstream out(ingest::AlertLogPath(dir),
+                      std::ios::binary | std::ios::app);
+    out << util::RequestRecordLine(record);
+  }
+  std::vector<ingest::AlertRecord> read;
+  int corrupt = 0;
+  ASSERT_TRUE(ingest::ReadAlertLog(dir, &read, &corrupt, &error)) << error;
+  ASSERT_EQ(read.size(), 1u);
+  EXPECT_EQ(read[0].cve, alert.cve);
+  EXPECT_EQ(corrupt, 1);
 }
 
 TEST_F(IngestTest, DeltaVulnSearchAppendsAlertsAtLeastOnceAcrossCrashes) {

@@ -224,5 +224,63 @@ TEST_F(RequestLogTest, CorruptLinesAreCountedNotFatal) {
                          &error));
 }
 
+// The CRC-line codec's bytes, captured before the request log and the
+// alert log shared one codec: escapes ("quote", backslash, a control
+// byte), field order, framing and CRC must never move.
+constexpr char kGoldenSlowLine[] =
+    "SLOW 86de976b {\"trace\":\"0123456789abcdef\",\"op\":\"serve.topk\","
+    "\"outcome\":\"deadline_exceeded\",\"name\":\"fn\\\"q\\\\b\\u0001z\","
+    "\"batch\":3,\"queue_wait_nanos\":11,\"encode_nanos\":22,"
+    "\"score_nanos\":33,\"reply_nanos\":44,\"scored_pairs\":55,"
+    "\"pruned_pairs\":66,\"deadline\":1,\"slack_nanos\":-77}\n";
+
+// A valid alerts.jsonl line (same golden as the ingest test's).
+constexpr char kGoldenAlertLine[] =
+    "ALRT 2912f517 {\"seq\":7,\"cve\":\"CVE-2020-0001\","
+    "\"software\":\"open\\\"ssl\\\\lib\",\"function\":\"tls_\\u0001parse\","
+    "\"hit\":\"mod::sub_1f\",\"score\":0.98765432101234563}\n";
+
+TEST_F(RequestLogTest, RecordLineBytesAreGolden) {
+  RequestRecord record;
+  record.trace_id = 0x0123456789abcdefull;
+  record.op = "serve.topk";
+  record.outcome = RequestOutcome::kDeadlineExceeded;
+  record.batch_size = 3;
+  record.queue_wait_nanos = 11;
+  record.encode_nanos = 22;
+  record.score_nanos = 33;
+  record.reply_nanos = 44;
+  record.scored_pairs = 55;
+  record.pruned_pairs = 66;
+  record.has_deadline = true;
+  record.deadline_slack_nanos = -77;
+  record.SetName("fn\"q\\b\x01z");
+  EXPECT_EQ(RequestRecordLine(record), kGoldenSlowLine);
+
+  const std::string path = TempPath("reqlog_golden.jsonl");
+  std::string error;
+  ASSERT_TRUE(WriteRequestLogFile(path, {record}, &error)) << error;
+  std::vector<ParsedRequestRecord> parsed;
+  int corrupt = -1;
+  ASSERT_TRUE(ReadRequestLogFile(path, &parsed, &corrupt, &error)) << error;
+  EXPECT_EQ(corrupt, 0);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].name, "fn\"q\\b\x01z");
+}
+
+TEST_F(RequestLogTest, ValidAlertLineIsCorruptInARequestLog) {
+  const std::string path = TempPath("reqlog_alrt.jsonl");
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << kGoldenAlertLine << RequestRecordLine(MakeRecord(5));
+  out.close();
+  std::vector<ParsedRequestRecord> parsed;
+  int corrupt = 0;
+  std::string error;
+  ASSERT_TRUE(ReadRequestLogFile(path, &parsed, &corrupt, &error)) << error;
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].trace_id, 0x1005u);
+  EXPECT_EQ(corrupt, 1);
+}
+
 }  // namespace
 }  // namespace asteria::util
