@@ -9,7 +9,8 @@
 # measured interval is arrival -> queryable: the command returns only after
 # the new shard is published AND the daemon has swapped it in (the reload
 # poke is synchronous).
-# Writes the machine-readable result to BENCH_ingest.json at the repo root
+# Writes the machine-readable result to <build>/BENCH_ingest.json (the
+# committed BENCH_ingest.json at the repo root stays the recorded reference)
 # and fails unless the incremental path beats the full rebuild by at least
 # MIN_INGEST_SPEEDUP x.
 #
@@ -90,7 +91,7 @@ SERVE_PID=""
 
 SPEEDUP="$(awk -v f="$FULL_MEAN_NANOS" -v i="$INC_MEAN_NANOS" \
            'BEGIN { printf "%.1f", f / i }')"
-cat > "$ROOT/BENCH_ingest.json" <<EOF
+cat > "$BUILD/BENCH_ingest.json" <<EOF
 {
   "workload": "one firmware arrival over a $FLEET-image fleet, full rebuild vs incremental ingest (arrival -> queryable, live daemon poke)",
   "fleet_images": $FLEET,
@@ -101,7 +102,7 @@ cat > "$ROOT/BENCH_ingest.json" <<EOF
 }
 EOF
 echo
-cat "$ROOT/BENCH_ingest.json"
+cat "$BUILD/BENCH_ingest.json"
 
 awk -v s="$SPEEDUP" -v min="$MIN_INGEST_SPEEDUP" \
     'BEGIN { exit (s + 0 >= min + 0) ? 0 : 1 }' \

@@ -6,7 +6,8 @@
 # starts one asteria-serve daemon over the same snapshot and sends the same
 # query N times over the socket (`asteria-cli query --repeat=N`), so the
 # load happens once and each query pays only framing + batch scoring.
-# Writes the machine-readable result to BENCH_serve.json at the repo root
+# Writes the machine-readable result to <build>/BENCH_serve.json (the
+# committed BENCH_serve.json at the repo root stays the recorded reference)
 # and fails unless warm mean latency beats cold mean latency by at least
 # MIN_SERVE_SPEEDUP x.
 #
@@ -77,7 +78,7 @@ SERVE_PID=""
 
 SPEEDUP="$(awk -v c="$COLD_MEAN_NANOS" -v w="$WARM_MEAN_NANOS" \
            'BEGIN { printf "%.1f", c / w }')"
-cat > "$ROOT/BENCH_serve.json" <<EOF
+cat > "$BUILD/BENCH_serve.json" <<EOF
 {
   "workload": "top-5 clone query, cold index-query vs warm asteria-serve",
   "cold_runs": $COLD_RUNS,
@@ -88,7 +89,7 @@ cat > "$ROOT/BENCH_serve.json" <<EOF
 }
 EOF
 echo
-cat "$ROOT/BENCH_serve.json"
+cat "$BUILD/BENCH_serve.json"
 
 awk -v s="$SPEEDUP" -v min="$MIN_SERVE_SPEEDUP" \
     'BEGIN { exit (s + 0 >= min + 0) ? 0 : 1 }' \

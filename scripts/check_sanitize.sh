@@ -22,6 +22,9 @@
 # and sharded indexes — so TSan covers the lazy side-index rebuild and the
 # per-ring merge of shard-local collectors (docs/PERFORMANCE.md "Sub-linear
 # TopK").
+# request_log_test races wait-free ring appenders against seqlock snapshots
+# and round-trips the shared CRC-line codec (util/crc_line.h) on hostile
+# lines, so TSan covers the ring and ASan the line parser.
 # CI-friendly: exits non-zero on build failure, test failure, or any
 # sanitizer report.
 #
@@ -43,7 +46,7 @@ cmake -S "$ROOT" -B "$BUILD" -DASTERIA_SANITIZE="$SANITIZER" \
 cmake --build "$BUILD" -j "$(nproc)" --target \
       util_test determinism_test core_test dataset_test store_test \
       search_index_test robustness_test fast_encoder_test metrics_test \
-      serve_test ingest_test
+      request_log_test serve_test ingest_test
 
 # halt_on_error turns any sanitizer report into a non-zero exit so CI fails
 # even if the race would not otherwise crash the test.
@@ -52,7 +55,7 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=0"
 
 for test in util_test determinism_test core_test dataset_test store_test \
             search_index_test robustness_test fast_encoder_test metrics_test \
-            serve_test ingest_test; do
+            request_log_test serve_test ingest_test; do
   echo "== $SANITIZER: $test =="
   "$BUILD/tests/$test" --gtest_brief=1
 done

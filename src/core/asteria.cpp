@@ -1,9 +1,12 @@
 #include "core/asteria.h"
 
 #include <cmath>
+#include <exception>
 
 #include "store/checkpoint.h"
+#include "util/failpoint.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace asteria::core {
@@ -67,6 +70,41 @@ double AsteriaModel::TrainEpoch(const std::vector<FunctionFeature>& features,
   g_last_loss.Set(mean_loss);
   if (report != nullptr) util::PublishPipelineReport(*report);
   return mean_loss;
+}
+
+IsolatedEncodings EncodeIsolated(
+    const AsteriaModel& model,
+    const std::vector<const FunctionFeature*>& features, int threads,
+    util::Failpoint& failpoint) {
+  IsolatedEncodings out;
+  out.encodings.resize(features.size());
+  out.failures.resize(features.size());
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    if (failpoint.ShouldFail()) {
+      out.failures[i] = features[i]->name + ": injected failure (failpoint " +
+                        failpoint.name() + ")";
+    }
+  }
+  util::ParallelFor(
+      static_cast<std::int64_t>(features.size()), threads,
+      [&](std::int64_t i) {
+        ASTERIA_SPAN("encode");
+        const std::size_t slot = static_cast<std::size_t>(i);
+        if (!out.failures[slot].empty()) return;
+        const FunctionFeature& feature = *features[slot];
+        try {
+          nn::Matrix encoding = model.Encode(feature.tree);
+          if (!nn::AllFinite(encoding.data(), encoding.size())) {
+            out.failures[slot] =
+                feature.name + ": encoding has non-finite values";
+            return;
+          }
+          out.encodings[slot] = std::move(encoding);
+        } catch (const std::exception& e) {
+          out.failures[slot] = feature.name + ": " + e.what();
+        }
+      });
+  return out;
 }
 
 }  // namespace asteria::core

@@ -13,6 +13,10 @@
 #include "core/siamese.h"
 #include "util/pipeline_report.h"
 
+namespace asteria::util {
+class Failpoint;
+}  // namespace asteria::util
+
 namespace asteria::core {
 
 struct AsteriaConfig {
@@ -103,5 +107,25 @@ class AsteriaModel {
   util::Rng rng_;
   SiameseModel siamese_;
 };
+
+// Per-slot result of EncodeIsolated: encodings[i] is feature i's encoding,
+// or an empty 0x0 placeholder (the FENC convention) when failures[i] says
+// why it failed. An empty failures[i] means slot i encoded cleanly.
+struct IsolatedEncodings {
+  std::vector<nn::Matrix> encodings;
+  std::vector<std::string> failures;
+};
+
+// The one fault-isolated encode loop (SearchIndex::AddAll, the firmware
+// corpus encode, and ingest): a feature that hits `failpoint`, throws, or
+// encodes to non-finite values fails its own slot, never the batch. The
+// failpoint is consulted for every slot in input order before any encode
+// starts, so which slots it fails — and so every output — is the same at
+// any thread count. The encodes run under util::ParallelFor with `threads`
+// workers, one "encode" span per slot.
+IsolatedEncodings EncodeIsolated(
+    const AsteriaModel& model,
+    const std::vector<const FunctionFeature*>& features, int threads,
+    util::Failpoint& failpoint);
 
 }  // namespace asteria::core

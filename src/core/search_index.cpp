@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <exception>
 #include <limits>
 #include <utility>
 
@@ -38,15 +37,6 @@ util::Histogram h_topk_batch_nanos("search.topk_batch_nanos");
 // deterministic scores, so both totals are thread-count invariant.
 util::Counter c_scored_pairs("search.scored_pairs");
 util::Counter c_pruned_pairs("search.pruned_pairs");
-
-bool AllFinite(const double* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(data[i])) return false;
-  }
-  return true;
-}
-
-bool AllFinite(const nn::Matrix& m) { return AllFinite(m.data(), m.size()); }
 
 // Index-snapshot chunk tags and schema version (see docs/FORMATS.md).
 constexpr std::uint32_t kTagIndexMeta = store::FourCc('I', 'M', 'E', 'T');
@@ -265,7 +255,7 @@ int SearchIndex::AddEncoded(const std::string& name,
   // Same shape/finiteness gate as Load: a foreign or corrupted encoding
   // must be rejected here, not discovered as garbage scores later.
   if (encoding.rows() != hidden_dim_ || encoding.cols() != 1 ||
-      !AllFinite(encoding)) {
+      !nn::AllFinite(encoding.data(), encoding.size())) {
     return -1;
   }
   std::memcpy(packed_.AppendColumn(), encoding.data(),
@@ -282,62 +272,32 @@ util::PipelineReport SearchIndex::AddAll(
     const std::vector<FunctionFeature>& features) {
   util::PipelineReport report;
   report.stage = "index-encode";
-  // Encode into staging slots so a failing feature never leaves a hole in
-  // the packed matrix. Each worker writes only its own slot; the sequential
-  // compact pass below makes the surviving order (and the report)
-  // thread-count independent.
-  std::vector<EntryMeta> staged_meta(features.size());
-  std::vector<nn::Matrix> staged_encoding(features.size());
-  enum : char { kFailed = 0, kOk = 1, kSkipped = 2 };
-  std::vector<char> outcome(features.size(), kFailed);
-  std::vector<std::string> failure(features.size());
-  util::ParallelFor(
-      static_cast<std::int64_t>(features.size()), threads_,
-      [&](std::int64_t i) {
-        ASTERIA_SPAN("encode");
-        const std::size_t slot = static_cast<std::size_t>(i);
-        const FunctionFeature& feature = features[slot];
-        if (feature.tree.empty()) {
-          outcome[slot] = kSkipped;
-          failure[slot] = feature.name + ": empty AST";
-          return;
-        }
-        if (fp_search_encode.ShouldFail()) {
-          failure[slot] =
-              feature.name + ": injected failure (failpoint search.encode)";
-          return;
-        }
-        try {
-          staged_meta[slot].name = feature.name;
-          staged_meta[slot].callee_count = feature.callee_count;
-          staged_encoding[slot] = model_.Encode(feature.tree);
-          if (!AllFinite(staged_encoding[slot])) {
-            failure[slot] = feature.name + ": encoding has non-finite values";
-            return;
-          }
-          outcome[slot] = kOk;
-        } catch (const std::exception& e) {
-          failure[slot] = feature.name + ": " + e.what();
-        }
-      });
-  entries_.reserve(entries_.size() + features.size());
-  for (std::size_t i = 0; i < staged_meta.size(); ++i) {
-    switch (outcome[i]) {
-      case kOk:
-        std::memcpy(packed_.AppendColumn(), staged_encoding[i].data(),
-                    static_cast<std::size_t>(hidden_dim_) * sizeof(double));
-        entries_.push_back(std::move(staged_meta[i]));
-        report.AddOk();
-        break;
-      case kSkipped:
-        report.AddSkipped(failure[i]);
-        break;
-      default:
-        report.AddFailed(failure[i]);
-        break;
-    }
+  // Empty ASTs are skipped before the failpoint sees them. The rest encode
+  // into per-slot staging, so a failing feature never leaves a hole in the
+  // packed matrix, and this in-order pass keeps the surviving order (and
+  // the report) thread-count independent.
+  std::vector<const FunctionFeature*> encodable;
+  encodable.reserve(features.size());
+  for (const FunctionFeature& feature : features) {
+    if (!feature.tree.empty()) encodable.push_back(&feature);
   }
-  MarkSideIndexDirty();
+  const IsolatedEncodings encoded =
+      EncodeIsolated(model_, encodable, threads_, fp_search_encode);
+  entries_.reserve(entries_.size() + encodable.size());
+  std::size_t slot = 0;
+  for (const FunctionFeature& feature : features) {
+    if (feature.tree.empty()) {
+      report.AddSkipped(feature.name + ": empty AST");
+      continue;
+    }
+    if (encoded.failures[slot].empty()) {
+      AddEncoded(feature.name, encoded.encodings[slot], feature.callee_count);
+      report.AddOk();
+    } else {
+      report.AddFailed(encoded.failures[slot]);
+    }
+    ++slot;
+  }
   util::PublishPipelineReport(report);
   return report;
 }
@@ -922,7 +882,7 @@ bool SearchIndex::AppendEntriesFrom(const store::Reader& snapshot,
     // The one copy: file bytes straight into the packed column.
     double* column = packed->AppendColumn();
     if (!parser.GetF64Array(column, dim, error)) return false;
-    if (!AllFinite(column, dim)) {
+    if (!nn::AllFinite(column, dim)) {
       *error = path + ": entry '" + entry.name +
                "' encoding contains non-finite values (NaN/Inf) — corrupted "
                "snapshot";

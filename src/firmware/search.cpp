@@ -1,12 +1,11 @@
 #include "firmware/search.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <exception>
 #include <set>
 
 #include "compiler/compile.h"
+#include "core/search_index.h"
 #include "dataset/generator.h"
 #include "decompiler/decompile.h"
 #include "minic/parser.h"
@@ -32,13 +31,6 @@ util::Counter c_fw_confirmed("firmware.confirmed");
 // Candidates above threshold per CVE query — deterministic per seed/model.
 util::Histogram h_fw_candidates("firmware.candidates");
 
-bool AllFinite(const nn::Matrix& m) {
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!std::isfinite(m.data()[i])) return false;
-  }
-  return true;
-}
-
 struct VendorSpec {
   const char* vendor;
   std::vector<const char*> models;
@@ -54,23 +46,25 @@ const std::vector<VendorSpec>& Vendors() {
   return kVendors;
 }
 
-binary::BinModule CompileSource(const std::string& source,
-                                const std::string& name, binary::Isa isa) {
+// Parses, checks and compiles one vuln-library source. On failure `why`
+// names the step that failed ("source broken: ...", "compile failed: ...").
+bool CompileSource(const std::string& source, const std::string& name,
+                   binary::Isa isa, binary::BinModule* module,
+                   std::string* why) {
   minic::Program program;
   std::string error;
   if (!minic::Parse(source, &program, &error) ||
       !minic::Check(program, &error)) {
-    ASTERIA_LOG(Error) << "vuln-library source broken (" << name
-                       << "): " << error;
-    return binary::BinModule{};
+    *why = "source broken: " + error;
+    return false;
   }
   auto compiled = compiler::CompileProgram(program, isa, name);
   if (!compiled.ok) {
-    ASTERIA_LOG(Error) << "vuln-library compile failed (" << name
-                       << "): " << compiled.error;
-    return binary::BinModule{};
+    *why = "compile failed: " + compiled.error;
+    return false;
   }
-  return std::move(compiled.module);
+  *module = std::move(compiled.module);
+  return true;
 }
 
 }  // namespace
@@ -120,11 +114,17 @@ FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config) {
       for (std::size_t v : chosen) {
         const VulnSpec& spec = VulnLibrary()[v];
         const bool vulnerable = rng.NextBool(config.vulnerable_probability);
-        binary::BinModule module = CompileSource(
-            vulnerable ? spec.vulnerable_source : spec.patched_source,
+        const std::string name =
             spec.software + "-" +
-                (vulnerable ? spec.vulnerable_version : spec.patched_version),
-            isa);
+            (vulnerable ? spec.vulnerable_version : spec.patched_version);
+        binary::BinModule module;
+        std::string why;
+        if (!CompileSource(
+                vulnerable ? spec.vulnerable_source : spec.patched_source,
+                name, isa, &module, &why)) {
+          ASTERIA_LOG(Error) << "vuln-library " << why << " (" << name << ")";
+          continue;
+        }
         if (module.functions.empty()) continue;
         plants.push_back({spec.cve, spec.function, !vulnerable});
         image.modules.push_back(std::move(module));
@@ -212,40 +212,51 @@ FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config) {
   return corpus;
 }
 
+bool BuildVulnQuery(const VulnSpec& spec, int beta,
+                    core::FunctionFeature* query, std::string* why) {
+  binary::BinModule module;
+  if (!CompileSource(spec.vulnerable_source, spec.software,
+                     static_cast<binary::Isa>(kQueryIsa), &module, why)) {
+    *why = spec.cve + ": query " + *why;
+    return false;
+  }
+  const int fn = module.FindFunction(spec.function);
+  if (fn < 0) {
+    *why = spec.cve + ": query function '" + spec.function + "' not found";
+    return false;
+  }
+  const auto decompiled = decompiler::DecompileFunction(module, fn, beta);
+  query->name = spec.function;
+  query->tree = ast::ToLeftChildRightSibling(decompiled.tree);
+  query->callee_count = decompiled.callee_count;
+  return true;
+}
+
 std::vector<nn::Matrix> EncodeFirmwareCorpus(const core::AsteriaModel& model,
                                              const FirmwareCorpus& corpus,
                                              util::PipelineReport* report) {
   ASTERIA_SPAN("firmware_encode");
   util::PipelineReport local;
   local.stage = "firmware-encode";
-  std::vector<nn::Matrix> encodings;
-  encodings.reserve(corpus.functions.size());
+  std::vector<const core::FunctionFeature*> features;
+  features.reserve(corpus.functions.size());
   for (const FirmwareFunction& fn : corpus.functions) {
-    // A failed function keeps its slot as an empty 0x0 placeholder so the
-    // positional alignment with corpus.functions survives.
-    if (fp_firmware_encode.ShouldFail()) {
-      local.AddFailed(fn.feature.name +
-                      ": injected failure (failpoint firmware.encode)");
-      encodings.emplace_back();
-      continue;
-    }
-    try {
-      nn::Matrix encoding = model.Encode(fn.feature.tree);
-      if (!AllFinite(encoding)) {
-        local.AddFailed(fn.feature.name + ": encoding has non-finite values");
-        encodings.emplace_back();
-        continue;
-      }
-      encodings.push_back(std::move(encoding));
+    features.push_back(&fn.feature);
+  }
+  // RunVulnSearch takes no thread count, so the offline encode runs on the
+  // calling thread.
+  core::IsolatedEncodings encoded =
+      core::EncodeIsolated(model, features, /*threads=*/1, fp_firmware_encode);
+  for (const std::string& failure : encoded.failures) {
+    if (failure.empty()) {
       local.AddOk();
-    } catch (const std::exception& e) {
-      local.AddFailed(fn.feature.name + ": " + e.what());
-      encodings.emplace_back();
+    } else {
+      local.AddFailed(failure);
     }
   }
   util::PublishPipelineReport(local);
   if (report != nullptr) report->Merge(local);
-  return encodings;
+  return std::move(encoded.encodings);
 }
 
 namespace {
@@ -350,7 +361,7 @@ bool LoadFirmwareEncodings(std::vector<nn::Matrix>* encodings,
       }
       nn::Matrix m(static_cast<int>(rows), static_cast<int>(cols));
       if (!parser.GetF64Array(m.data(), m.size(), error)) return false;
-      if (!AllFinite(m)) {
+      if (!nn::AllFinite(m.data(), m.size())) {
         *error = path + ": encoding " + std::to_string(loaded.size()) +
                  " contains non-finite values (NaN/Inf) — corrupted cache";
         return false;
@@ -385,36 +396,55 @@ VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
   return result;
 }
 
+EncodingsCacheOutcome LoadOrRebuildEncodings(
+    const core::AsteriaModel& model, std::size_t expected_count,
+    const std::string& path,
+    const std::function<std::vector<nn::Matrix>()>& encode,
+    std::vector<nn::Matrix>* encodings) {
+  std::string error;
+  if (LoadFirmwareEncodings(encodings, model, expected_count, path, &error)) {
+    ASTERIA_LOG(Info) << "encodings cache hit: " << path;
+    return EncodingsCacheOutcome::kHit;
+  }
+  ASTERIA_LOG(Info) << "encodings cache miss (" << error << "); re-encoding";
+  EncodingsCacheOutcome outcome = EncodingsCacheOutcome::kMiss;
+  // Move a present-but-unloadable cache aside before writing a fresh one
+  // (QuarantineFile replaces any older quarantine, so only when present).
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    std::fclose(f);
+    std::string quarantined;
+    if (store::QuarantineFile(path, &quarantined)) {
+      ASTERIA_LOG(Warn) << "quarantined unloadable encodings cache to "
+                        << quarantined << " (" << error << ")";
+      outcome = EncodingsCacheOutcome::kQuarantined;
+    }
+  }
+  *encodings = encode();
+  // Non-fatal: the caller's results stand; the next run just re-encodes.
+  if (!SaveFirmwareEncodings(*encodings, model, path, &error)) {
+    ASTERIA_LOG(Warn) << "encodings cache write failed: " << error;
+  }
+  return outcome;
+}
+
 VulnSearchResult RunVulnSearchCached(const core::AsteriaModel& model,
                                      const FirmwareCorpus& corpus,
                                      double threshold, int beta,
                                      const std::string& cache_path) {
   if (cache_path.empty()) return RunVulnSearch(model, corpus, threshold, beta);
-  std::string error;
-  std::vector<nn::Matrix> encodings;
-  if (LoadFirmwareEncodings(&encodings, model, corpus.functions.size(),
-                            cache_path, &error)) {
-    c_fw_cache_hit.Increment();
-    ASTERIA_LOG(Info) << "firmware encodings cache hit: " << cache_path;
-    return RunVulnSearch(model, corpus, encodings, threshold, beta);
-  }
-  c_fw_cache_miss.Increment();
-  ASTERIA_LOG(Info) << "firmware encodings cache miss (" << error
-                    << "); re-encoding";
-  // Move a present-but-unloadable cache aside before writing a fresh one.
-  if (std::FILE* f = std::fopen(cache_path.c_str(), "rb")) {
-    std::fclose(f);
-    std::string quarantined;
-    if (store::QuarantineFile(cache_path, &quarantined)) {
-      c_fw_quarantined.Increment();
-      ASTERIA_LOG(Warn) << "quarantined corrupt encodings cache to "
-                        << quarantined;
-    }
-  }
   util::PipelineReport encode_report;
-  encodings = EncodeFirmwareCorpus(model, corpus, &encode_report);
-  if (!SaveFirmwareEncodings(encodings, model, cache_path, &error)) {
-    ASTERIA_LOG(Warn) << "firmware encodings cache write failed: " << error;
+  std::vector<nn::Matrix> encodings;
+  const EncodingsCacheOutcome outcome = LoadOrRebuildEncodings(
+      model, corpus.functions.size(), cache_path,
+      [&] { return EncodeFirmwareCorpus(model, corpus, &encode_report); },
+      &encodings);
+  if (outcome == EncodingsCacheOutcome::kHit) {
+    c_fw_cache_hit.Increment();
+  } else {
+    c_fw_cache_miss.Increment();
+  }
+  if (outcome == EncodingsCacheOutcome::kQuarantined) {
+    c_fw_quarantined.Increment();
   }
   VulnSearchResult result =
       RunVulnSearch(model, corpus, encodings, threshold, beta);
@@ -435,48 +465,63 @@ VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
   VulnSearchResult result;
   result.threshold = threshold;
   result.report.stage = "vuln-search";
-  // Functions whose offline encoding failed sit in their slot as empty 0x0
-  // placeholders; exclude them from scoring once (not once per CVE).
+  // Index every encoded function once; position[e] is index entry e's
+  // corpus slot. Functions whose offline encoding failed sit in their slot
+  // as empty 0x0 placeholders and are excluded once (not once per CVE).
+  core::SearchIndex index(model);
+  std::vector<std::size_t> position;
+  position.reserve(encodings.size());
   bool first_missing = true;
-  for (const nn::Matrix& encoding : encodings) {
-    if (encoding.size() == 0) {
+  for (std::size_t i = 0; i < encodings.size(); ++i) {
+    const core::FunctionFeature& feature = corpus.functions[i].feature;
+    if (encodings[i].size() == 0) {
       result.report.AddSkipped(
           first_missing ? "function without encoding excluded from scoring"
                         : "");
       first_missing = false;
+    } else if (index.AddEncoded(feature.name, encodings[i],
+                                feature.callee_count) < 0) {
+      result.report.AddFailed(feature.name +
+                              ": encoding rejected (wrong shape or "
+                              "non-finite values)");
+    } else {
+      position.push_back(i);
     }
   }
 
-  for (const VulnSpec& spec : VulnLibrary()) {
-    CveSearchResult row;
-    row.cve = spec.cve;
-    row.software = spec.software;
-    row.function = spec.function;
-
-    // Compile + decompile the query function on the reference ISA.
-    binary::BinModule module = CompileSource(
-        spec.vulnerable_source, spec.software, static_cast<binary::Isa>(kQueryIsa));
-    const int fn_index = module.FindFunction(spec.function);
-    if (fn_index < 0) {
-      result.report.AddFailed(spec.cve + ": query function '" + spec.function +
-                              "' failed to compile — CVE row is empty");
-      result.per_cve.push_back(std::move(row));
+  // Compile + decompile every query on the reference ISA, then score them
+  // all in one exact threshold sweep: every reported score is bitwise the
+  // pair-by-pair F = M * S of eq. (10), and the pruned rings provably hold
+  // no pair at or above the threshold.
+  const std::vector<VulnSpec>& library = VulnLibrary();
+  std::vector<core::FunctionFeature> queries(library.size());
+  std::vector<const core::FunctionFeature*> built;
+  std::vector<std::size_t> built_row;
+  for (std::size_t c = 0; c < library.size(); ++c) {
+    CveSearchResult& row = result.per_cve.emplace_back();
+    row.cve = library[c].cve;
+    row.software = library[c].software;
+    row.function = library[c].function;
+    std::string why;
+    if (!BuildVulnQuery(library[c], beta, &queries[c], &why)) {
+      result.report.AddFailed(why + " — CVE row is empty");
       continue;
     }
     result.report.AddOk();
-    auto query = decompiler::DecompileFunction(module, fn_index, beta);
-    const ast::BinaryAst query_tree = ast::ToLeftChildRightSibling(query.tree);
-    const nn::Matrix query_encoding = model.Encode(query_tree);
+    built.push_back(&queries[c]);
+    built_row.push_back(c);
+  }
+  const std::vector<std::vector<core::SearchHit>> hits =
+      index.AboveThresholdBatch(built,
+                                std::vector<double>(built.size(), threshold));
 
+  for (std::size_t q = 0; q < built.size(); ++q) {
+    const VulnSpec& spec = library[built_row[q]];
+    CveSearchResult& row = result.per_cve[built_row[q]];
     std::set<std::string> models_hit;
-    for (std::size_t i = 0; i < corpus.functions.size(); ++i) {
-      if (encodings[i].size() == 0) continue;  // placeholder (already counted)
-      const FirmwareFunction& fn = corpus.functions[i];
-      const double ast_similarity =
-          model.SimilarityFromEncodings(query_encoding, encodings[i]);
-      const double score = core::CalibratedSimilarity(
-          ast_similarity, query.callee_count, fn.feature.callee_count);
-      if (score < threshold) continue;
+    for (const core::SearchHit& hit : hits[q]) {
+      const FirmwareFunction& fn =
+          corpus.functions[position[static_cast<std::size_t>(hit.index)]];
       ++row.candidates;
       const bool is_vulnerable = fn.truth_cve == spec.cve && !fn.patched;
       // Criterion A: same software, vulnerable version. Module names encode
@@ -487,7 +532,7 @@ VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
       const bool version_vulnerable =
           fn.module == prefix + spec.vulnerable_version;
       if (same_software && version_vulnerable) ++row.criteria_a;
-      if (score > 1.0 - 1e-9) ++row.criteria_b;
+      if (hit.score > 1.0 - 1e-9) ++row.criteria_b;
       if (is_vulnerable) {
         ++row.confirmed;
         models_hit.insert(corpus.images[static_cast<std::size_t>(fn.image)].model);
@@ -500,7 +545,6 @@ VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
     h_fw_candidates.Observe(static_cast<std::uint64_t>(row.candidates));
     result.total_confirmed += row.confirmed;
     result.total_candidates += row.candidates;
-    result.per_cve.push_back(std::move(row));
   }
   util::PublishPipelineReport(result.report);
   return result;

@@ -5,14 +5,15 @@
 // and re-unpacks every image (exercising the binwalk-analog path), strips
 // symbols, and decompiles everything. RunVulnSearch encodes all firmware
 // functions and the CVE library with a trained Asteria model, scores every
-// (function, CVE) pair with the fast online path, filters by threshold, and
-// applies the paper's confirmation criteria:
+// (function, CVE) pair at or above the threshold in one core::SearchIndex
+// AboveThresholdBatch sweep, and applies the paper's confirmation criteria:
 //   A: the candidate comes from the same software and a vulnerable version
 //   B: the similarity score is (numerically) 1
 // Ground truth (which planted function is really the vulnerable one) is
 // recorded at build time so confirmations can be validated automatically.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,13 @@ struct VulnSearchResult {
 // Reference ISA used to compile the CVE library for querying.
 inline constexpr int kQueryIsa = 0;  // x86
 
+// The one CVE-query recipe (RunVulnSearch and ingest's DeltaVulnSearch):
+// compiles spec's vulnerable source on kQueryIsa and decompiles
+// spec.function into `query` (named spec.function). Returns false with
+// `why` ("<cve>: query ...") when the source, compile or lookup fails.
+bool BuildVulnQuery(const VulnSpec& spec, int beta,
+                    core::FunctionFeature* query, std::string* why);
+
 // Offline phase: one encoding per corpus function, in corpus order. A
 // function whose encoding fails (throws, non-finite values, or the
 // firmware.encode failpoint) keeps its slot as an empty 0x0 placeholder so
@@ -104,6 +112,22 @@ bool LoadFirmwareEncodings(std::vector<nn::Matrix>* encodings,
                            const core::AsteriaModel& model,
                            std::size_t expected_count, const std::string& path,
                            std::string* error);
+
+// What LoadOrRebuildEncodings found at its path. kQuarantined is a miss
+// whose unloadable file was moved aside to <path>.corrupt.
+enum class EncodingsCacheOutcome { kHit, kMiss, kQuarantined };
+
+// The one FENC load-or-rebuild (RunVulnSearchCached and ingest): loads
+// `path` into `encodings` when it holds `expected_count` encodings from
+// this model's weights. Otherwise it quarantines a present-but-unloadable
+// file, fills `encodings` from `encode()`, and saves them to `path` (a
+// failed save only warns; the next run re-encodes). Callers keep their own
+// counters.
+EncodingsCacheOutcome LoadOrRebuildEncodings(
+    const core::AsteriaModel& model, std::size_t expected_count,
+    const std::string& path,
+    const std::function<std::vector<nn::Matrix>()>& encode,
+    std::vector<nn::Matrix>* encodings);
 
 // Runs the search with a trained model at the given score threshold.
 VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,

@@ -1,33 +1,25 @@
 #include "ingest/ingest.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <utility>
 
 #include "ast/lcrs.h"
-#include "compiler/compile.h"
 #include "decompiler/decompile.h"
 #include "firmware/search.h"
 #include "firmware/vulnlib.h"
-#include "minic/parser.h"
-#include "minic/sema.h"
 #include "serve/client.h"
 #include "store/container.h"
+#include "util/crc_line.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/request_log.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace asteria::ingest {
@@ -60,13 +52,6 @@ util::Counter c_serve_pokes("ingest.reload_pokes");
 util::Histogram h_publish_nanos("ingest.publish_nanos");
 util::Gauge g_shards("ingest.shards");
 util::Gauge g_entries("ingest.entries");
-
-bool AllFinite(const nn::Matrix& m) {
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!std::isfinite(m.data()[i])) return false;
-  }
-  return true;
-}
 
 bool ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -131,35 +116,6 @@ std::string SeqString(std::uint64_t seq) {
 
 std::string ShardFileName(std::uint64_t seq) {
   return "shard-" + SeqString(seq) + ".idx";
-}
-
-// Compiles one CVE-library query on the reference ISA and decompiles it
-// into a query feature (the same recipe as RunVulnSearch's query path).
-bool BuildVulnQuery(const firmware::VulnSpec& spec, int beta,
-                    core::FunctionFeature* feature, std::string* why) {
-  minic::Program program;
-  std::string error;
-  if (!minic::Parse(spec.vulnerable_source, &program, &error) ||
-      !minic::Check(program, &error)) {
-    *why = spec.cve + ": query source broken: " + error;
-    return false;
-  }
-  auto compiled = compiler::CompileProgram(
-      program, static_cast<binary::Isa>(firmware::kQueryIsa), spec.software);
-  if (!compiled.ok) {
-    *why = spec.cve + ": query compile failed: " + compiled.error;
-    return false;
-  }
-  const int fn = compiled.module.FindFunction(spec.function);
-  if (fn < 0) {
-    *why = spec.cve + ": query function '" + spec.function + "' not found";
-    return false;
-  }
-  auto query = decompiler::DecompileFunction(compiled.module, fn, beta);
-  feature->name = spec.function;
-  feature->tree = ast::ToLeftChildRightSibling(query.tree);
-  feature->callee_count = query.callee_count;
-  return true;
 }
 
 }  // namespace
@@ -341,67 +297,36 @@ bool IngestService::IngestFile(const std::string& path, IngestStats* stats,
   // 3. Encode — through the per-image FENC cache when possible, so a
   // retried or re-dropped image never re-encodes functions it already paid
   // for. A cache from different model weights fails the fingerprint check,
-  // is quarantined, and gets rebuilt (the staleness guard).
-  const std::string cache_path = CachePath(digest);
+  // is quarantined, and gets rebuilt (the staleness guard). A failed
+  // function keeps an empty 0x0 placeholder slot, so the cache stays
+  // positionally aligned to the decompiled features.
   std::vector<nn::Matrix> encodings;
-  std::string cache_error;
-  if (firmware::LoadFirmwareEncodings(&encodings, model_, features.size(),
-                                      cache_path, &cache_error)) {
+  const auto cache = firmware::LoadOrRebuildEncodings(
+      model_, features.size(), CachePath(digest),
+      [&] {
+        std::vector<const core::FunctionFeature*> pointers;
+        pointers.reserve(features.size());
+        for (const core::FunctionFeature& feature : features) {
+          pointers.push_back(&feature);
+        }
+        core::IsolatedEncodings encoded =
+            core::EncodeIsolated(model_, pointers, config_.threads, fp_encode);
+        for (const std::string& failure : encoded.failures) {
+          if (!failure.empty()) {
+            local.AddFailed(failure);
+            continue;
+          }
+          ++stats->functions_encoded;
+          c_fn_encoded.Increment();
+        }
+        return std::move(encoded.encodings);
+      },
+      &encodings);
+  if (cache == firmware::EncodingsCacheOutcome::kHit) {
     ++stats->cache_hits;
     c_cache_hits.Increment();
-    ASTERIA_LOG(Info) << "ingest: encoding cache hit: " << cache_path;
-  } else {
-    if (FileExists(cache_path)) {
-      std::string quarantined;
-      if (store::QuarantineFile(cache_path, &quarantined)) {
-        c_cache_quarantined.Increment();
-        ASTERIA_LOG(Warn) << "ingest: quarantined stale encoding cache to "
-                          << quarantined << " (" << cache_error << ")";
-      }
-    }
-    // Failed functions keep an empty 0x0 placeholder slot (the FENC
-    // convention), so cache layout stays positionally aligned to the
-    // decompiled features.
-    encodings.assign(features.size(), nn::Matrix());
-    std::vector<std::string> failure(features.size());
-    util::ParallelFor(
-        static_cast<std::int64_t>(features.size()), config_.threads,
-        [&](std::int64_t i) {
-          ASTERIA_SPAN("encode");
-          const std::size_t slot = static_cast<std::size_t>(i);
-          if (fp_encode.ShouldFail()) {
-            failure[slot] = features[slot].name +
-                            ": injected failure (failpoint ingest.encode)";
-            return;
-          }
-          try {
-            nn::Matrix encoding = model_.Encode(features[slot].tree);
-            if (!AllFinite(encoding)) {
-              failure[slot] =
-                  features[slot].name + ": encoding has non-finite values";
-              return;
-            }
-            encodings[slot] = std::move(encoding);
-          } catch (const std::exception& e) {
-            failure[slot] = features[slot].name + ": " + e.what();
-          }
-        });
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      if (!failure[i].empty()) {
-        local.AddFailed(failure[i]);
-        continue;
-      }
-      ++stats->functions_encoded;
-      c_fn_encoded.Increment();
-    }
-    std::string write_error;
-    if (!firmware::SaveFirmwareEncodings(encodings, model_, cache_path,
-                                         &write_error)) {
-      // Non-fatal: the shard still publishes; the next ingest of this
-      // digest just re-encodes.
-      ASTERIA_LOG(Warn) << "ingest: encoding cache write failed: "
-                        << write_error;
-    }
+  } else if (cache == firmware::EncodingsCacheOutcome::kQuarantined) {
+    c_cache_quarantined.Increment();
   }
 
   // 4. Build + write the shard snapshot (immutable once published).
@@ -578,38 +503,15 @@ bool IngestService::Compact(int* merged_runs, std::string* error) {
 
 namespace {
 
-// Minimal JSON string codec for the alert log: the writer controls the
-// schema, so only the escapes it can emit need handling (quote, backslash,
-// and control bytes as \u00XX).
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 std::string AlertJson(const AlertRecord& alert) {
   std::string json = "{\"seq\":" + std::to_string(alert.seq) + ",\"cve\":";
-  AppendJsonString(alert.cve, &json);
+  util::AppendJsonString(alert.cve, &json);
   json += ",\"software\":";
-  AppendJsonString(alert.software, &json);
+  util::AppendJsonString(alert.software, &json);
   json += ",\"function\":";
-  AppendJsonString(alert.function, &json);
+  util::AppendJsonString(alert.function, &json);
   json += ",\"hit\":";
-  AppendJsonString(alert.hit, &json);
+  util::AppendJsonString(alert.hit, &json);
   char score[40];
   std::snprintf(score, sizeof(score), "%.17g", alert.score);
   json += ",\"score\":";
@@ -618,92 +520,21 @@ std::string AlertJson(const AlertRecord& alert) {
   return json;
 }
 
-// Parses a JSON string literal starting at (*pos) == '"'; advances *pos
-// past the closing quote.
-bool ParseJsonString(const std::string& text, std::size_t* pos,
-                     std::string* out) {
-  if (*pos >= text.size() || text[*pos] != '"') return false;
-  ++*pos;
-  out->clear();
-  while (*pos < text.size()) {
-    const char c = text[*pos];
-    if (c == '"') {
-      ++*pos;
-      return true;
-    }
-    if (c == '\\') {
-      if (*pos + 1 >= text.size()) return false;
-      const char esc = text[*pos + 1];
-      if (esc == '"' || esc == '\\') {
-        out->push_back(esc);
-        *pos += 2;
-        continue;
-      }
-      if (esc == 'u') {
-        if (*pos + 5 >= text.size()) return false;
-        unsigned value = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = text[*pos + 2 + static_cast<std::size_t>(i)];
-          value <<= 4;
-          if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        if (value > 0xff) return false;  // the writer only emits \u00XX
-        out->push_back(static_cast<char>(value));
-        *pos += 6;
-        continue;
-      }
-      return false;
-    }
-    out->push_back(c);
-    ++*pos;
-  }
-  return false;
-}
-
-// Expects `key` (with quotes and colon) at *pos, e.g. "\"cve\":".
-bool ExpectToken(const std::string& text, std::size_t* pos,
-                 const std::string& token) {
-  if (text.compare(*pos, token.size(), token) != 0) return false;
-  *pos += token.size();
-  return true;
-}
-
 bool ParseAlertJson(const std::string& json, AlertRecord* alert) {
   std::size_t pos = 0;
-  if (!ExpectToken(json, &pos, "{\"seq\":")) return false;
-  char* end = nullptr;
-  errno = 0;
-  alert->seq = std::strtoull(json.c_str() + pos, &end, 10);
-  if (errno != 0 || end == json.c_str() + pos) return false;
-  pos = static_cast<std::size_t>(end - json.c_str());
-  if (!ExpectToken(json, &pos, ",\"cve\":") ||
-      !ParseJsonString(json, &pos, &alert->cve) ||
-      !ExpectToken(json, &pos, ",\"software\":") ||
-      !ParseJsonString(json, &pos, &alert->software) ||
-      !ExpectToken(json, &pos, ",\"function\":") ||
-      !ParseJsonString(json, &pos, &alert->function) ||
-      !ExpectToken(json, &pos, ",\"hit\":") ||
-      !ParseJsonString(json, &pos, &alert->hit) ||
-      !ExpectToken(json, &pos, ",\"score\":")) {
-    return false;
-  }
-  errno = 0;
-  alert->score = std::strtod(json.c_str() + pos, &end);
-  if (errno != 0 || end == json.c_str() + pos) return false;
-  pos = static_cast<std::size_t>(end - json.c_str());
-  return ExpectToken(json, &pos, "}") && pos == json.size();
-}
-
-std::string AlertLine(const AlertRecord& alert) {
-  const std::string json = AlertJson(alert);
-  const std::uint32_t crc = store::Crc32(
-      reinterpret_cast<const std::uint8_t*>(json.data()), json.size());
-  char head[16];
-  std::snprintf(head, sizeof(head), "ALRT %08x ", crc);
-  return head + json + "\n";
+  return util::ExpectToken(json, &pos, "{\"seq\":") &&
+         util::ParseU64(json, &pos, &alert->seq) &&
+         util::ExpectToken(json, &pos, ",\"cve\":") &&
+         util::ParseJsonString(json, &pos, &alert->cve) &&
+         util::ExpectToken(json, &pos, ",\"software\":") &&
+         util::ParseJsonString(json, &pos, &alert->software) &&
+         util::ExpectToken(json, &pos, ",\"function\":") &&
+         util::ParseJsonString(json, &pos, &alert->function) &&
+         util::ExpectToken(json, &pos, ",\"hit\":") &&
+         util::ParseJsonString(json, &pos, &alert->hit) &&
+         util::ExpectToken(json, &pos, ",\"score\":") &&
+         util::ParseF64(json, &pos, &alert->score) &&
+         util::ExpectToken(json, &pos, "}") && pos == json.size();
 }
 
 }  // namespace
@@ -722,37 +553,14 @@ bool AppendAlerts(const std::string& index_dir,
              "ingest.alert_append)";
     return false;
   }
-  std::string buffer;
+  std::string lines;
   for (const AlertRecord& alert : alerts) {
-    buffer += AlertLine(alert);
+    lines += util::CrcLine("ALRT", AlertJson(alert));
   }
-  // One O_APPEND write for the whole run: concurrent appenders never
-  // interleave bytes, and a crash tears at most the final line — which the
-  // reader's per-line CRC catches.
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                        0644);
-  if (fd < 0) {
-    *error = path + ": open for append failed: " + std::strerror(errno);
-    return false;
-  }
-  std::size_t done = 0;
-  while (done < buffer.size()) {
-    const ssize_t n = ::write(fd, buffer.data() + done, buffer.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = path + ": append failed: " + std::strerror(errno);
-      ::close(fd);
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    *error = path + ": fsync failed: " + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  ::close(fd);
-  for (std::size_t i = 0; i < alerts.size(); ++i) c_alerts.Increment();
+  // One O_APPEND write for the whole run: a crash tears at most the final
+  // line, which the reader's per-line CRC catches.
+  if (!util::WriteCrcLines(path, lines, /*append=*/true, error)) return false;
+  c_alerts.Add(alerts.size());
   return true;
 }
 
@@ -760,63 +568,15 @@ bool ReadAlertLog(const std::string& index_dir,
                   std::vector<AlertRecord>* alerts, int* corrupt_lines,
                   std::string* error) {
   alerts->clear();
-  if (corrupt_lines != nullptr) *corrupt_lines = 0;
-  const std::string path = AlertLogPath(index_dir);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (errno == ENOENT) return true;  // no alerts yet
-    *error = path + ": open failed: " + std::strerror(errno);
-    return false;
-  }
-  std::string contents;
-  char buffer[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    *error = path + ": read failed";
-    return false;
-  }
-  std::size_t start = 0;
-  while (start < contents.size()) {
-    std::size_t newline = contents.find('\n', start);
-    // A final line with no terminating newline is a torn tail by
-    // definition (the writer always ends lines), so it lands in the
-    // corrupt count via the checks below.
-    const bool terminated = newline != std::string::npos;
-    if (!terminated) newline = contents.size();
-    const std::string line = contents.substr(start, newline - start);
-    start = newline + 1;
-    if (line.empty()) continue;
-    bool good = false;
-    AlertRecord alert;
-    // "ALRT " + 8 hex + " " + json, CRC over the json bytes.
-    if (terminated && line.size() > 14 && line.compare(0, 5, "ALRT ") == 0 &&
-        line[13] == ' ') {
-      char* end = nullptr;
-      errno = 0;
-      const std::string hex = line.substr(5, 8);
-      const unsigned long declared = std::strtoul(hex.c_str(), &end, 16);
-      if (errno == 0 && end == hex.c_str() + 8) {
-        const std::string json = line.substr(14);
-        const std::uint32_t actual = store::Crc32(
-            reinterpret_cast<const std::uint8_t*>(json.data()), json.size());
-        if (actual == static_cast<std::uint32_t>(declared) &&
-            ParseAlertJson(json, &alert)) {
-          good = true;
-        }
-      }
-    }
-    if (good) {
-      alerts->push_back(std::move(alert));
-    } else if (corrupt_lines != nullptr) {
-      ++*corrupt_lines;
-    }
-  }
-  return true;
+  return util::ReadCrcLines(
+      AlertLogPath(index_dir), "ALRT", /*missing_ok=*/true,
+      [&](const std::string& json) {
+        AlertRecord alert;
+        if (!ParseAlertJson(json, &alert)) return false;
+        alerts->push_back(std::move(alert));
+        return true;
+      },
+      corrupt_lines, error);
 }
 
 bool DeltaVulnSearch(const core::AsteriaModel& model,
@@ -868,23 +628,30 @@ bool DeltaVulnSearch(const core::AsteriaModel& model,
   }
   result->entries_searched = delta.size();
 
-  for (const firmware::VulnSpec& spec : firmware::VulnLibrary()) {
-    DeltaCveRow row;
-    row.cve = spec.cve;
-    row.software = spec.software;
-    row.function = spec.function;
+  const std::vector<firmware::VulnSpec>& library = firmware::VulnLibrary();
+  std::vector<core::FunctionFeature> queries(library.size());
+  std::vector<const core::FunctionFeature*> built;
+  std::vector<std::size_t> built_row;
+  for (std::size_t c = 0; c < library.size(); ++c) {
+    DeltaCveRow& row = result->per_cve.emplace_back();
+    row.cve = library[c].cve;
+    row.software = library[c].software;
+    row.function = library[c].function;
     std::string why;
-    core::FunctionFeature query;
-    if (!BuildVulnQuery(spec, beta, &query, &why)) {
+    if (!firmware::BuildVulnQuery(library[c], beta, &queries[c], &why)) {
       result->report.AddFailed(why);
-      result->per_cve.push_back(std::move(row));
       continue;
     }
-    if (delta.size() > 0) {
-      row.hits = delta.AboveThreshold(query, threshold);
-    }
     result->report.AddOk();
-    result->per_cve.push_back(std::move(row));
+    built.push_back(&queries[c]);
+    built_row.push_back(c);
+  }
+  if (delta.size() > 0) {
+    std::vector<std::vector<core::SearchHit>> hits = delta.AboveThresholdBatch(
+        built, std::vector<double>(built.size(), threshold));
+    for (std::size_t q = 0; q < built.size(); ++q) {
+      result->per_cve[built_row[q]].hits = std::move(hits[q]);
+    }
   }
 
   result->to_seq = std::max(manifest.searched_seq, manifest.MaxCreatedSeq());

@@ -161,14 +161,10 @@ bool DeltaVulnSearch(const core::AsteriaModel& model,
 //
 // <index_dir>/alerts.jsonl accumulates every DeltaVulnSearch hit across
 // runs — the durable artifact a fleet operator tails, where DeltaVulnResult
-// is one run's report. Each line is
-//
-//   ALRT <8-hex CRC32 of the JSON bytes> <one-line JSON object>\n
-//
+// is one run's report. It is a CRC-line file (util/crc_line.h, tag ALRT)
 // appended with a single O_APPEND write + fsync per run, so a crash can
-// only ever tear the final line; the reader detects a torn or corrupted
-// line by the CRC (or broken framing), skips it, and counts it in
-// `corrupt_lines` instead of failing the whole log.
+// only ever tear the final line; the reader skips a torn or corrupted line
+// and counts it in `corrupt_lines` instead of failing the whole log.
 
 struct AlertRecord {
   std::uint64_t seq = 0;  // searched_seq the run advanced to; re-runs after

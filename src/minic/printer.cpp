@@ -210,10 +210,6 @@ std::string Print(const Program& program) {
   return out;
 }
 
-std::string PrintFunction(const Program& program, const Function& fn) {
-  return PrinterImpl(program).Function(fn);
-}
-
 std::string PrintExpr(const Program& program, ExprId id) {
   return PrinterImpl(program).Expression(id);
 }

@@ -13,9 +13,6 @@ namespace asteria::minic {
 // Renders the whole program.
 std::string Print(const Program& program);
 
-// Renders a single function.
-std::string PrintFunction(const Program& program, const Function& fn);
-
 // Renders a single expression (mainly for diagnostics).
 std::string PrintExpr(const Program& program, ExprId id);
 

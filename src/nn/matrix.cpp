@@ -1,7 +1,6 @@
 #include "nn/matrix.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace asteria::nn {
 
@@ -47,15 +46,6 @@ void Matrix::Gemv(const double* x, double* y) const {
     for (int k = 0; k < n; ++k) sum += row[k] * x[k];
     y[i] = sum;
   }
-}
-
-void Matrix::Gemm(const Matrix& b, Matrix* out) const {
-  assert(cols_ == b.rows_);
-  if (out->rows_ != rows_ || out->cols_ != b.cols_) {
-    *out = Matrix(rows_, b.cols_);
-  }
-  GemmRaw(data_.data(), b.data_.data(), out->data_.data(), rows_, cols_,
-          b.cols_);
 }
 
 void Matrix::GemmRaw(const double* a, const double* b, double* c, int m,
@@ -137,20 +127,6 @@ double Matrix::Norm() const {
   return std::sqrt(sum);
 }
 
-std::string Matrix::DebugString() const {
-  std::ostringstream out;
-  out << rows_ << "x" << cols_ << " [";
-  for (int r = 0; r < rows_; ++r) {
-    if (r) out << "; ";
-    for (int c = 0; c < cols_; ++c) {
-      if (c) out << ", ";
-      out << (*this)(r, c);
-    }
-  }
-  out << "]";
-  return out.str();
-}
-
 // The inner loops deliberately have no `a == 0.0` skip: the operands here
 // are dense trained weights, where a data-dependent branch mispredicts far
 // more than it saves.
@@ -221,6 +197,13 @@ double Dot(const Matrix& a, const Matrix& b) {
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
   return sum;
+}
+
+bool AllFinite(const double* data, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(data[i])) return false;
+  }
+  return true;
 }
 
 }  // namespace asteria::nn

@@ -5,7 +5,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace asteria::nn {
@@ -60,17 +59,13 @@ class Matrix {
   // parallelism; the within-row order is unchanged.
   void Gemv(const double* x, double* y) const;
 
-  // out = (*this) · b — Gemv extended to multiple right-hand sides (the
-  // batch-scoring path of SearchIndex). Every out(i, j) accumulates in
-  // ascending-k order from 0.0, i.e. exactly the Gemv/MatMul per-element
-  // association, so Gemm results are bitwise identical to calling Gemv once
-  // per column of b (and to MatMul). `out` is resized as needed.
-  void Gemm(const Matrix& b, Matrix* out) const;
-
-  // Raw-buffer core of Gemm: c (m x n, row-major) = a (m x k, row-major) ·
-  // b (k x n, row-major). Same ascending-k accumulation contract; rows are
-  // blocked four at a time for instruction-level parallelism. Buffers must
-  // not alias.
+  // Gemv extended to multiple right-hand sides (the batch-scoring path of
+  // SearchIndex): c (m x n, row-major) = a (m x k, row-major) · b (k x n,
+  // row-major). Every c element accumulates in ascending-k order from 0.0,
+  // i.e. exactly the Gemv/MatMul per-element association, so results are
+  // bitwise identical to calling Gemv once per column of b (and to MatMul).
+  // Rows are blocked four at a time for instruction-level parallelism.
+  // Buffers must not alias.
   static void GemmRaw(const double* a, const double* b, double* c, int m,
                       int k, int n);
 
@@ -84,8 +79,6 @@ class Matrix {
   double MaxAbs() const;
   // Frobenius norm.
   double Norm() const;
-
-  std::string DebugString() const;
 
  private:
   int rows_ = 0;
@@ -106,5 +99,8 @@ Matrix Add(const Matrix& a, const Matrix& b);
 Matrix Sub(const Matrix& a, const Matrix& b);
 // Dot product of two same-shaped matrices viewed as flat vectors.
 double Dot(const Matrix& a, const Matrix& b);
+// True when none of the n values is NaN or Inf: the gate every encoding
+// passes before it is stored, cached or scored.
+bool AllFinite(const double* data, std::size_t n);
 
 }  // namespace asteria::nn

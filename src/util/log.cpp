@@ -28,7 +28,6 @@ unsigned ThreadOrdinal() {
 }  // namespace
 
 void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
 
 bool ParseLogLevel(const std::string& text, LogLevel* out) {
   if (text == "debug") {

@@ -12,9 +12,8 @@ namespace asteria::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-// Sets/gets the minimum level that is emitted (default kInfo).
+// Sets the minimum level that is emitted (default kInfo).
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // Parses "debug"|"info"|"warn"|"error" (case-sensitive, the spelling the
 // --log_level flag documents). Returns false on anything else.

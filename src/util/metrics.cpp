@@ -190,14 +190,6 @@ void Histogram::Observe(std::uint64_t value) {
   }
 }
 
-std::uint64_t Histogram::Count() const {
-  std::uint64_t total = 0;
-  for (const HistStripe& stripe : stripes_) {
-    total += stripe.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 double HistogramValue::Percentile(double q) const {
   if (count == 0 || buckets.empty()) return 0.0;
   if (q <= 0.0) q = 0.0;

@@ -127,8 +127,6 @@ class Histogram {
   // Smallest value of bucket `bucket` (0, 1, 2, 4, 8, ...).
   static std::uint64_t BucketLowerBound(int bucket);
 
-  std::uint64_t Count() const;
-
   // Merged view across all stripes (count/sum/min/max/buckets plus the
   // p50/p95/p99 estimates) — the same value SnapshotMetrics() builds, but
   // available per-histogram so e.g. the serve daemon can answer a kStats

@@ -22,9 +22,9 @@
 // EXCLUDES request records: they are wall-clock shaped and never diffed by
 // the check_*.sh gates.
 //
-// The CRC-line framing ("SLOW <crc32 hex> <json>\n") reuses the
-// alerts.jsonl conventions (docs/FORMATS.md): append-only, one
-// self-checking line per record, corrupt lines skipped and counted.
+// Record files use the CRC-line format alerts.jsonl uses too
+// (util/crc_line.h, tag SLOW): append-only, one self-checking line per
+// record, corrupt lines skipped and counted.
 #pragma once
 
 #include <atomic>

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -394,6 +395,69 @@ TEST_F(IngestTest, EncodeFailureIsolatesOneFunction) {
   EXPECT_EQ(service.manifest().TotalEntries(), features.size() - 1);
 }
 
+// Every regular file under `dir` (one subdirectory level, like RemoveTree),
+// as relative path -> bytes, in name order.
+std::map<std::string, std::string> TreeBytes(const std::string& dir,
+                                             const std::string& prefix = "") {
+  std::map<std::string, std::string> files;
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) return files;
+  while (dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name == "." || name == "..") continue;
+    const std::string path = dir + "/" + name;
+    struct stat st{};
+    if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
+      files.merge(TreeBytes(path, prefix + name + "/"));
+    } else {
+      files[prefix + name] = ReadFileBytes(path);
+    }
+  }
+  ::closedir(handle);
+  return files;
+}
+
+TEST_F(IngestTest, EncodeLoopIsThreadCountInvariant) {
+  core::AsteriaModel model(SmallModelConfig());
+  const auto corpus = MakeCorpus(3, 31);
+  const std::string drop = FreshDir("threads_drop");
+  ASSERT_EQ(::mkdir(drop.c_str(), 0777), 0);
+  PackImages(corpus, drop + "/img", 3);
+
+  std::map<std::string, std::string> want_files;
+  std::string want_report;
+  int want_encoded = 0;
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string dir = FreshDir("threads_idx_" + std::to_string(threads));
+    ingest::IngestConfig config = MakeConfig(dir);
+    config.threads = threads;
+    ingest::IngestService service(model, config);
+    // One function's encode fails; which one may not depend on threads.
+    Arm("ingest.encode=hit:2");
+    ingest::IngestStats stats;
+    EXPECT_EQ(service.ScanDropDir(drop, &stats), 3);
+    util::ClearFailpoints();
+    EXPECT_EQ(stats.report.failed, 1);
+
+    const auto files = TreeBytes(dir);
+    EXPECT_EQ(files.size(), 7u);  // manifest + 3 shards + 3 FENC caches
+    if (threads == 1) {
+      want_files = files;
+      want_report = stats.report.Summary();
+      want_encoded = stats.functions_encoded;
+      continue;
+    }
+    EXPECT_EQ(stats.report.Summary(), want_report);
+    EXPECT_EQ(stats.functions_encoded, want_encoded);
+    ASSERT_EQ(files.size(), want_files.size());
+    for (const auto& [name, bytes] : want_files) {
+      ASSERT_TRUE(files.count(name)) << name;
+      EXPECT_TRUE(files.at(name) == bytes) << name << " differs";
+    }
+  }
+}
+
 // -- 3. Compaction ----------------------------------------------------------
 
 TEST_F(IngestTest, AppendToCompactionBitwiseIdenticalToFreshBuild) {
@@ -684,9 +748,8 @@ TEST_F(IngestTest, AlertLogSkipsTornAndCorruptLinesWithoutFailing) {
   EXPECT_EQ(corrupt, 2);
 }
 
-// alerts.jsonl bytes captured before the alert log and the request log
-// shared one CRC-line codec: escapes, field order, %.17g score, framing
-// and CRC must never move.
+// An ALRT line is a file format: its escapes, field order, %.17g score,
+// framing and CRC must never move.
 TEST_F(IngestTest, AlertLineBytesAreGolden) {
   const std::string dir = FreshDir("alert_golden_idx");
   ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);

@@ -224,8 +224,7 @@ TEST_F(RequestLogTest, CorruptLinesAreCountedNotFatal) {
                          &error));
 }
 
-// The CRC-line codec's bytes, captured before the request log and the
-// alert log shared one codec: escapes ("quote", backslash, a control
+// A SLOW line is a file format: its escapes ("quote", backslash, a control
 // byte), field order, framing and CRC must never move.
 constexpr char kGoldenSlowLine[] =
     "SLOW 86de976b {\"trace\":\"0123456789abcdef\",\"op\":\"serve.topk\","
